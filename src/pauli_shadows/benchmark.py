@@ -150,32 +150,18 @@ class BenchmarkReport:
         ]
 
 
-class _TimedSampler:
-    """Wraps a sampler and accumulates the time spent choosing bases."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.elapsed = 0.0
-
-    def sample(self, rng):
-        start = time.perf_counter()
-        basis = self.inner.sample(rng)
-        self.elapsed += time.perf_counter() - start
-        return basis
-
-
 def _build_sampler(method: str, hamiltonian: Hamiltonian, distribution: ProductDistribution | None):
     if method == "aps":
         return AdaptiveBasisSampler(hamiltonian)
     return ProductBasisSampler(distribution)
 
 
-def _run_repetition(args) -> tuple[float, int, float]:
+def _run_repetition(args) -> tuple[float, int]:
     hamiltonian, state, method, distribution, shots, master_seed, repetition = args
-    sampler = _TimedSampler(_build_sampler(method, hamiltonian, distribution))
+    sampler = _build_sampler(method, hamiltonian, distribution)
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, repetition]))
     result = estimate_energy(hamiltonian, state, shots, sampler, rng)
-    return result.energy, len(result.uncovered_terms), sampler.elapsed
+    return result.energy, len(result.uncovered_terms)
 
 
 def _resolve_state(config: ExperimentConfig, hamiltonian: Hamiltonian) -> tuple[StateVector, str]:
@@ -217,9 +203,8 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkReport:
     else:
         outcomes = [_run_repetition(job) for job in jobs]
 
-    estimates = [energy for energy, _, _ in outcomes]
-    uncovered_counts = [count for _, count, _ in outcomes]
-    basis_seconds = sum(elapsed for _, _, elapsed in outcomes)
+    estimates = [energy for energy, _ in outcomes]
+    uncovered_counts = [count for _, count in outcomes]
 
     exact = hamiltonian_expectation(state, hamiltonian)
     deviations = np.asarray(estimates) - exact
@@ -235,7 +220,6 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkReport:
         else:
             predicted_error = math.sqrt(cost / config.shots)
 
-    total_shots = config.shots * config.repetitions
     return BenchmarkReport(
         method=config.method,
         hamiltonian_path=str(config.hamiltonian_path),
@@ -258,8 +242,6 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkReport:
             "wall_time_s": time.perf_counter() - started,
             "state_preparation_s": state_seconds,
             "distribution_build_s": build_seconds,
-            "basis_selection_s": basis_seconds,
-            "basis_selection_per_shot_s": basis_seconds / total_shots,
         },
     )
 

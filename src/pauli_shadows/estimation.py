@@ -1,9 +1,9 @@
-"""The per-shot estimation loop and its exact small-instance oracles.
+"""The batched estimation pass and its exact small-instance oracles.
 
-Every strategy runs the same loop: pick a basis, measure once, and fold
-the ±1 product of each covered term into that term's running mean. The
-energy estimate is the coefficient-weighted sum of the running means
-plus the Hamiltonian's constant offset.
+Every strategy runs the same pass: draw a basis per shot, measure each
+shot once, and fold the ±1 product of every covered term into that
+term's mean. The energy estimate is the coefficient-weighted sum of the
+means plus the Hamiltonian's constant offset.
 """
 
 from __future__ import annotations
@@ -18,41 +18,32 @@ import numpy as np
 from .paulis import CODE_I, Hamiltonian, MeasurementBasis, PauliOp
 from .states import (
     CapacityError,
-    ShotOutcome,
     StateVector,
     hamiltonian_expectation,
     measurement_cumulative,
     measurement_distribution,
-    sample_outcome_index,
 )
 from .sampling import ProductDistribution
 
 VARIANCE_ORACLE_MAX_QUBITS = 4
 
-# Cap on cached per-basis outcome tables inside one estimation run
-# (memory bound of roughly 64 MiB of cumulative distributions).
-_CACHE_BYTE_BUDGET = 1 << 26
-
 
 class BasisSampler(Protocol):
-    """Anything that can draw a measurement basis per shot."""
+    """Maps blocks of uniform draws to measurement bases, one row per shot."""
 
-    def sample(self, rng: np.random.Generator) -> MeasurementBasis: ...
+    uniforms: int  # U[0, 1) draws per shot
+
+    def bases(self, u: np.ndarray) -> np.ndarray: ...
 
 
 class Accumulator:
-    """Running mean and hit count for a fixed set of Pauli strings.
+    """Sum of ±1 products and hit count per key, for a fixed set of Pauli strings.
 
     Keys are the strings themselves; lookups hash the letter sequence, so
-    they cost O(n). Means use the incremental update
-    ``mu <- (s * mu + product) / (s + 1)`` term by term.
+    they cost O(n).
     """
 
-    __slots__ = ("paulis", "_index", "_codes", "_nontrivial", "_positions", "means", "counts")
-
-    # Below this many (term, qubit) cells a plain-Python update beats the
-    # fixed overhead of vectorized numpy calls on tiny arrays.
-    _SMALL_CELLS = 96
+    __slots__ = ("paulis", "_index", "_codes", "_masks", "sums", "counts")
 
     def __init__(self, paulis: Iterable[PauliOp]):
         self.paulis = tuple(paulis)
@@ -66,54 +57,42 @@ class Accumulator:
             self._codes = np.stack([p.codes for p in self.paulis])
         else:
             self._codes = np.zeros((0, 0), dtype=np.uint8)
-        self._nontrivial = self._codes != CODE_I
-        if self._codes.size <= self._SMALL_CELLS:
-            # (qubit, letter) pairs of each key's non-identity positions
-            self._positions = [
-                [(q, int(c)) for q, c in enumerate(p.codes) if c != CODE_I] for p in self.paulis
-            ]
-        else:
-            self._positions = None
-        self.means = np.zeros(len(self.paulis))
+        # Bits of each key's non-identity qubits in an outcome index
+        # (qubit 0 is the most significant bit).
+        shifts = np.arange(self._codes.shape[1] - 1, -1, -1)
+        self._masks = ((self._codes != CODE_I).astype(np.int64) << shifts).sum(axis=1)
+        self.sums = np.zeros(len(self.paulis), dtype=np.int64)
         self.counts = np.zeros(len(self.paulis), dtype=np.int64)
 
     @classmethod
     def for_hamiltonian(cls, hamiltonian: Hamiltonian) -> "Accumulator":
         return cls(hamiltonian.paulis)
 
-    def update(self, basis: MeasurementBasis, outcome: ShotOutcome) -> "Accumulator":
-        """Fold one measurement into every covered key; returns self.
+    @property
+    def means(self) -> np.ndarray:
+        """Mean ±1 product of each key; 0 for keys no shot has covered."""
+        return np.divide(self.sums, self.counts, out=np.zeros(len(self.paulis)), where=self.counts > 0)
 
-        The product over an empty letter set (an all-identity key) is +1.
+    def update(self, basis: MeasurementBasis, outcome_indices) -> "Accumulator":
+        """Fold shots measured in ``basis`` into every covered key; returns self.
+
+        ``outcome_indices`` holds one outcome per shot, as the index of a
+        computational basis state: bit 1 at a qubit is the readout -1. A
+        key's product is the parity of its non-identity bits, so an
+        all-identity key reads +1.
         """
         if len(self.paulis) == 0:
             return self
-        if basis.n != self._codes.shape[1] or len(outcome) != basis.n:
-            raise ValueError("basis/outcome length does not match accumulator keys")
-        if self._positions is not None:
-            basis_codes = basis.codes.tolist()
-            sigmas = outcome.sigmas.tolist()
-            means, counts = self.means, self.counts
-            for i, positions in enumerate(self._positions):
-                product = 1.0
-                for qubit, code in positions:
-                    if code != basis_codes[qubit]:
-                        break
-                    product *= sigmas[qubit]
-                else:
-                    s = counts[i]
-                    means[i] = (s * means[i] + product) / (s + 1)
-                    counts[i] = s + 1
-            return self
-        nontrivial = self._nontrivial
-        covered = ~np.logical_and(nontrivial, self._codes != basis.codes).any(axis=1)
-        if covered.any():
-            negative = outcome.sigmas < 0
-            parity = np.logical_and(nontrivial[covered], negative).sum(axis=1) & 1
-            products = 1.0 - 2.0 * parity
-            s = self.counts[covered]
-            self.means[covered] = (s * self.means[covered] + products) / (s + 1)
-            self.counts[covered] = s + 1
+        n = self._codes.shape[1]
+        outcomes = np.asarray(outcome_indices, dtype=np.int64)
+        if basis.n != n:
+            raise ValueError("basis length does not match accumulator keys")
+        if outcomes.ndim != 1 or np.any((outcomes < 0) | (outcomes >> n != 0)):
+            raise ValueError(f"outcome indices must be a vector of integers in [0, 2**{n})")
+        covered = ~((self._codes != CODE_I) & (self._codes != basis.codes)).any(axis=1)
+        parity = np.bitwise_count(outcomes[:, None] & self._masks[covered]) & 1
+        self.sums[covered] += outcomes.size - 2 * parity.sum(axis=0, dtype=np.int64)
+        self.counts[covered] += outcomes.size
         return self
 
     def __getitem__(self, pauli: PauliOp) -> tuple[float, int]:
@@ -127,19 +106,12 @@ class Accumulator:
         return len(self.paulis)
 
     def items(self):
-        for i, pauli in enumerate(self.paulis):
-            yield pauli, (float(self.means[i]), int(self.counts[i]))
+        for pauli, mean, count in zip(self.paulis, self.means.tolist(), self.counts.tolist()):
+            yield pauli, (mean, count)
 
     def uncovered(self) -> list[PauliOp]:
         """Keys that no shot has covered yet."""
         return [p for p, c in zip(self.paulis, self.counts) if c == 0]
-
-
-def update_accumulator(
-    acc: Accumulator, basis: MeasurementBasis, outcome: ShotOutcome
-) -> Accumulator:
-    """Functional spelling of `Accumulator.update`."""
-    return acc.update(basis, outcome)
 
 
 @dataclass
@@ -147,7 +119,7 @@ class EstimationResult:
     """Outcome of one estimation run.
 
     ``energy`` equals the constant offset plus the coefficient-weighted
-    running means; terms never covered contribute zero and are listed in
+    per-term means; terms never covered contribute zero and are listed in
     ``uncovered_terms`` so callers can flag potentially biased runs.
     """
 
@@ -175,12 +147,16 @@ def estimate_energy(
     sampler: BasisSampler,
     rng: np.random.Generator,
 ) -> EstimationResult:
-    """Run the measurement loop for ``shots`` iterations.
+    """Estimate the energy of ``state`` from ``shots`` single measurements.
 
-    Each iteration draws a basis from ``sampler``, simulates one
-    measurement of ``state`` in that basis, and updates the running mean
-    of every covered term. Deterministic given the inputs and the rng
-    state; replaying a seed reproduces the result bit for bit.
+    Draws one (shots, ``sampler.uniforms`` + 1) block of uniforms: the
+    sampler turns the leading columns of each row into that shot's
+    basis, and the last column draws its outcome. Shots are grouped by
+    distinct basis; each basis gets one outcome table, one inverse-CDF
+    draw of all its outcomes and one accumulator update, and its table
+    is dropped before the next one is built. Deterministic given the
+    inputs and the rng state; replaying a seed reproduces the result bit
+    for bit.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -188,27 +164,15 @@ def estimate_energy(
         raise ValueError("state and Hamiltonian qubit counts differ")
 
     acc = Accumulator.for_hamiltonian(hamiltonian)
-    n = hamiltonian.n
-    cache: dict[bytes, np.ndarray] = {}
-    max_cached = max(16, _CACHE_BYTE_BUDGET // (8 * 2**n))
-
-    # One ±1 row per outcome index; shots only read rows from it.
-    shifts = np.arange(n - 1, -1, -1)
-    sigma_table = (1 - 2 * ((np.arange(2**n)[:, None] >> shifts) & 1)).astype(np.int8)
-    sigma_table.setflags(write=False)
-
-    for _ in range(shots):
-        basis = sampler.sample(rng)
-        key = basis.codes.tobytes()
-        cumulative = cache.get(key)
-        if cumulative is None:
-            cumulative = measurement_cumulative(state, basis)
-            if len(cache) >= max_cached:
-                cache.clear()
-            cache[key] = cumulative
-        index = sample_outcome_index(cumulative, rng)
-        outcome = ShotOutcome._from_trusted(sigma_table[index])
-        acc.update(basis, outcome)
+    u = rng.random((shots, sampler.uniforms + 1))
+    distinct, inverse = np.unique(sampler.bases(u[:, :-1]), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    draws = u[np.argsort(inverse, kind="stable"), -1]
+    splits = np.cumsum(np.bincount(inverse))[:-1]
+    for codes, basis_draws in zip(distinct, np.split(draws, splits)):
+        basis = MeasurementBasis(codes)
+        outcomes = np.searchsorted(measurement_cumulative(state, basis), basis_draws, side="right")
+        acc.update(basis, outcomes)
 
     energy = hamiltonian.offset + float(np.dot(hamiltonian.coeffs, acc.means))
     return EstimationResult(
@@ -232,8 +196,8 @@ def exact_single_shot_variance(
     exact energy to 1e-9. Returns ``math.inf`` when some term can never
     be covered.
 
-    Note: the running-mean loop in `estimate_energy` conditions on
-    coverage instead of reweighting. Both are unbiased, but their
+    Note: the per-term means of `estimate_energy` condition on coverage
+    instead of reweighting. Both are unbiased, but their
     variances differ; this oracle describes the reweighted estimator.
     """
     n = hamiltonian.n

@@ -76,14 +76,6 @@ class PauliOp:
             self.codes = _as_codes(letters, allowed_min=CODE_I)
         self._hash = None
 
-    @classmethod
-    def _from_trusted(cls, codes: np.ndarray) -> "PauliOp":
-        """Wrap an already-validated read-only code array without copying."""
-        op = object.__new__(cls)
-        op.codes = codes
-        op._hash = None
-        return op
-
     @property
     def n(self) -> int:
         return self.codes.size
@@ -130,13 +122,6 @@ class MeasurementBasis:
             self.codes = letters.codes
         else:
             self.codes = _as_codes(letters, allowed_min=CODE_X)
-
-    @classmethod
-    def _from_trusted(cls, codes: np.ndarray) -> "MeasurementBasis":
-        """Wrap an already-validated read-only code array without copying."""
-        basis = object.__new__(cls)
-        basis.codes = codes
-        return basis
 
     @property
     def n(self) -> int:
@@ -311,10 +296,15 @@ def serialize_hamiltonian(hamiltonian: Hamiltonian) -> str:
 
 
 def load_hamiltonian(path) -> Hamiltonian:
-    """Read and parse a Hamiltonian file, adding the filename to any error."""
+    """Read and parse a Hamiltonian file, adding the filename to any error.
+
+    The error keeps its type and attributes, so a format error still
+    carries its ``line_number``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
         return parse_hamiltonian(text)
     except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .paulis import CODE_I, Hamiltonian, MeasurementBasis, PauliOp
+from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, Hamiltonian, MeasurementBasis, PauliOp
 
 PROB_SUM_TOL = 1e-12
 
@@ -144,18 +144,6 @@ def closed_form_distribution(costs: CostTriple | Sequence[float]) -> BasisDistri
     return BasisDistribution(tuple(r / total for r in roots))
 
 
-def _distribution_objective(costs: Sequence[float], probs: Sequence[float]) -> float:
-    """The simplex objective with the c/0 = 0 (c=0) and +inf (c>0) conventions."""
-    total = 0.0
-    for c, p in zip(costs, probs):
-        if c == 0.0:
-            continue
-        if p == 0.0:
-            return math.inf
-        total += c / p
-    return total
-
-
 @dataclass(frozen=True)
 class PartialAssignment:
     """A qubit processing order plus the letters chosen so far.
@@ -206,47 +194,11 @@ def stage_costs(hamiltonian: Hamiltonian, assignment: PartialAssignment, stage: 
     return CostTriple(*masses)
 
 
-def _sample_letter(probs: Sequence[float], u: float) -> int:
-    """Pick a letter code from (p_X, p_Y, p_Z) given a uniform draw.
-
-    Zero-probability letters are never returned, even when rounding
-    leaves the probabilities summing slightly below one.
-    """
-    remaining = u
-    last_positive = 0
-    for code, p in enumerate(probs, start=1):
-        if p <= 0.0:
-            continue
-        if remaining < p:
-            return code
-        remaining -= p
-        last_positive = code
-    return last_positive
-
-
-def choose_adaptive_basis(hamiltonian: Hamiltonian, rng: np.random.Generator) -> MeasurementBasis:
-    """Draw one measurement basis by per-qubit adaptive selection (APS).
-
-    Visits qubits in a fresh uniformly random order; at each qubit it
-    solves the closed-form simplex problem for the terms still consistent
-    with the letters assigned so far, then samples that qubit's letter.
-    One call costs O(n_terms * n): the consistent-term set is maintained
-    incrementally instead of being recomputed from scratch per stage.
-    For repeated draws, `AdaptiveBasisSampler` amortizes the setup.
-    """
-    return AdaptiveBasisSampler(hamiltonian).sample(rng)
-
-
 def uniform_distribution(n: int) -> ProductDistribution:
     """The classical-shadows distribution: every letter of every qubit is 1/3."""
     if n < 1:
         raise ValueError("need at least one qubit")
     return ProductDistribution([BasisDistribution.uniform() for _ in range(n)])
-
-
-def sample_product_basis(pd: ProductDistribution, rng: np.random.Generator) -> MeasurementBasis:
-    """Sample a basis with independent per-qubit letters."""
-    return ProductBasisSampler(pd).sample(rng)
 
 
 def diagonal_cost(hamiltonian: Hamiltonian, pd: ProductDistribution) -> float:
@@ -353,78 +305,103 @@ def locally_biased_distribution(
     return ProductDistribution([BasisDistribution(tuple(row)) for row in clipped])
 
 
+_LETTER_CODES = np.array([[CODE_X], [CODE_Y], [CODE_Z]])
+# Cap on (shot, term) pairs that one slice of adaptive selection handles.
+_SLICE_CELLS = 1 << 16
+
+
+def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative thresholds of (p_X, p_Y, p_Z) rows for one uniform draw each.
+
+    A draw u picks X iff u < t0, Y iff t0 <= u < t1, else Z. A
+    zero-probability letter gets a zero-width interval, so it is never
+    drawn, even when rounding leaves the row summing slightly below one.
+    """
+    t0 = probs[..., 0].copy()
+    t1 = probs[..., 0] + probs[..., 1]
+    t1[probs[..., 2] == 0.0] = 1.0
+    t0[(probs[..., 1] == 0.0) & (probs[..., 2] == 0.0)] = 1.0
+    return t0, t1
+
+
 class ProductBasisSampler:
-    """Draws measurement bases from a fixed product distribution."""
+    """Draws measurement bases from a fixed product distribution.
+
+    ``bases`` uses one uniform draw per qubit: column q of a row decides
+    qubit q's letter.
+    """
 
     def __init__(self, distribution: ProductDistribution):
         self.distribution = distribution
-        table = distribution.as_array()
-        # Cumulative thresholds with zero-probability letters forced to
-        # zero-width intervals: X iff u < t0, Y iff t0 <= u < t1, else Z.
-        t0 = table[:, 0].copy()
-        t1 = table[:, 0] + table[:, 1]
-        t1[table[:, 2] == 0.0] = 1.0
-        t0[(table[:, 1] == 0.0) & (table[:, 2] == 0.0)] = 1.0
-        self._t0 = t0
-        self._t1 = t1
+        self.uniforms = distribution.n
+        self._t0, self._t1 = _thresholds(distribution.as_array())
 
     @property
     def n(self) -> int:
         return self.distribution.n
 
+    def bases(self, u: np.ndarray) -> np.ndarray:
+        """Map a (shots, n) block of U[0, 1) draws to (shots, n) letter codes."""
+        return (1 + (u >= self._t0) + (u >= self._t1)).astype(np.uint8)
+
     def sample(self, rng: np.random.Generator) -> MeasurementBasis:
-        draws = rng.random(self.distribution.n)
-        basis_codes = (1 + (draws >= self._t0) + (draws >= self._t1)).astype(np.uint8)
-        basis_codes.setflags(write=False)
-        return MeasurementBasis._from_trusted(basis_codes)
+        return MeasurementBasis(self.bases(rng.random((1, self.uniforms)))[0])
 
 
 class AdaptiveBasisSampler:
     """Draws measurement bases by per-shot adaptive selection (APS).
 
-    Precomputes plain-Python term tables once so the per-shot stage loop
-    touches each surviving term a constant number of times, keeping one
-    draw at O(n_terms * n) worst case.
+    ``bases`` uses two uniform draws per qubit. The first n columns of a
+    row fix the shot's qubit order (their ``argsort``, a uniformly random
+    permutation); column n + j then picks the letter at stage j. All
+    shots advance one stage at a time, with a (shots, terms) mask of the
+    terms still consistent with each shot's letters, so a block of shots
+    costs O(shots * n_terms * n) in vectorized steps.
     """
 
     def __init__(self, hamiltonian: Hamiltonian):
         self.hamiltonian = hamiltonian
-        codes = hamiltonian.codes
-        self._columns = [[int(c) for c in codes[:, q]] for q in range(hamiltonian.n)]
-        self._masses = [float(a) * float(a) for a in hamiltonian.coeffs]
+        self.uniforms = 2 * hamiltonian.n
+        self._columns = np.ascontiguousarray(hamiltonian.codes.T)  # (n, terms)
+        self._masses = hamiltonian.coeffs * hamiltonian.coeffs
 
     @property
     def n(self) -> int:
         return self.hamiltonian.n
 
-    def sample(self, rng: np.random.Generator) -> MeasurementBasis:
+    def bases(self, u: np.ndarray) -> np.ndarray:
+        """Map a (shots, 2n) block of U[0, 1) draws to (shots, n) letter codes.
+
+        At each stage a shot's letter probabilities are the closed-form
+        simplex solution for the masses of its alive terms at its
+        current qubit, uniform when no alive term acts there. Rows are
+        independent; they go through in slices of about
+        ``_SLICE_CELLS / terms`` shots to bound the stage masks' memory.
+        """
+        step = max(1, _SLICE_CELLS // max(1, self._masses.size))
+        return np.concatenate([self._stages(u[i : i + step]) for i in range(0, max(len(u), 1), step)])
+
+    def _stages(self, u: np.ndarray) -> np.ndarray:
         n = self.hamiltonian.n
-        masses = self._masses
-        columns = self._columns
-        alive = list(range(len(masses)))
-        basis_codes = np.empty(n, dtype=np.uint8)
+        shots = u.shape[0]
+        order = np.argsort(u[:, :n], axis=1)
+        rows = np.arange(shots)
+        codes = np.empty((shots, n), dtype=np.uint8)
+        alive = np.ones((shots, self._masses.size), dtype=bool)
+        masses = np.broadcast_to(self._masses, (shots, 3, self._masses.size))
+        for stage in range(n):
+            qubits = order[:, stage]
+            column = self._columns[qubits]
+            # live[s, l, t]: term t is alive in shot s and has letter l + 1 at its qubit
+            live = np.where(alive, column, CODE_I)[:, None, :] == _LETTER_CODES
+            roots = np.sqrt(masses.sum(axis=2, where=live))
+            roots += roots.sum(axis=1, keepdims=True) == 0.0  # no alive term acts here: uniform
+            t0, t1 = _thresholds(roots / roots.sum(axis=1, keepdims=True))
+            draws = u[:, n + stage]
+            letters = (1 + (draws >= t0) + (draws >= t1)).astype(np.uint8)
+            codes[rows, qubits] = letters
+            alive &= (column == CODE_I) | (column == letters[:, None])
+        return codes
 
-        for qubit in rng.permutation(n):
-            column = columns[qubit]
-            c_x = c_y = c_z = 0.0
-            for term in alive:
-                code = column[term]
-                if code == 1:
-                    c_x += masses[term]
-                elif code == 2:
-                    c_y += masses[term]
-                elif code == 3:
-                    c_z += masses[term]
-            total = c_x + c_y + c_z
-            if total > 0.0:
-                r_x, r_y, r_z = math.sqrt(c_x), math.sqrt(c_y), math.sqrt(c_z)
-                scale = r_x + r_y + r_z
-                probs = (r_x / scale, r_y / scale, r_z / scale)
-            else:
-                probs = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-            letter = _sample_letter(probs, rng.random())
-            basis_codes[qubit] = letter
-            alive = [term for term in alive if column[term] == 0 or column[term] == letter]
-
-        basis_codes.setflags(write=False)
-        return MeasurementBasis._from_trusted(basis_codes)
+    def sample(self, rng: np.random.Generator) -> MeasurementBasis:
+        return MeasurementBasis(self.bases(rng.random((1, self.uniforms)))[0])

@@ -18,10 +18,13 @@ NORM_TOL = 1e-10
 LOAD_NORM_TOL = 1e-4
 MAX_TABLE_QUBITS = 20
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)
-# Rotation into the computational frame: phase-dagger first, then Hadamard.
-_Y_ROTATION = _HADAMARD @ np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=np.complex128)
+# Rotations into the computational frame, each times sqrt(2), written as
+# [[1, a], [1, b]]: the Hadamard for X, phase-dagger then Hadamard for Y.
+# Entry k of the column (a, b) scales the bit-1 amplitude in output bit k.
+_HALF_SLICE_FACTORS = {
+    CODE_X: np.array([[1.0], [-1.0]], dtype=np.complex128),
+    CODE_Y: np.array([[-1.0j], [1.0j]], dtype=np.complex128),
+}
 
 
 class CapacityError(ValueError):
@@ -79,13 +82,6 @@ class ShotOutcome:
         arr = arr.copy()
         arr.setflags(write=False)
         self.sigmas = arr
-
-    @classmethod
-    def _from_trusted(cls, sigmas: np.ndarray) -> "ShotOutcome":
-        """Wrap an already-validated read-only ±1 vector without copying."""
-        outcome = object.__new__(cls)
-        outcome.sigmas = sigmas
-        return outcome
 
     def __len__(self) -> int:
         return self.sigmas.size
@@ -176,20 +172,6 @@ def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> flo
     return float(value.real) + hamiltonian.offset
 
 
-def _rotate_to_computational(amplitudes: np.ndarray, basis_codes: np.ndarray) -> np.ndarray:
-    """Rotate each qubit of |psi> into the measurement frame of the basis."""
-    n = basis_codes.size
-    psi = amplitudes
-    for qubit, code in enumerate(basis_codes):
-        if code == CODE_Z:
-            continue
-        gate = _HADAMARD if code == CODE_X else _Y_ROTATION
-        block = psi.reshape(2**qubit, 2, -1)
-        rotated = np.einsum("ab,ibj->iaj", gate, block)
-        psi = rotated.reshape(psi.size)
-    return psi
-
-
 def measurement_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
     """Exact outcome probabilities of measuring every qubit in ``basis``.
 
@@ -200,8 +182,17 @@ def measurement_distribution(state: StateVector, basis: MeasurementBasis) -> np.
     _check_lengths(state, basis)
     if state.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"outcome table needs 2^{state.n} entries; limit is 2^{MAX_TABLE_QUBITS}")
-    rotated = _rotate_to_computational(state.amplitudes, basis.codes)
-    probs = np.abs(rotated) ** 2
+    psi = state.amplitudes
+    rotations = 0
+    for qubit, code in enumerate(basis.codes.tolist()):
+        if code == CODE_Z:
+            continue
+        # Both half-slices of the qubit's axis at once: bit-0 + (a, b) * bit-1.
+        block = psi.reshape(2**qubit, 2, -1)
+        psi = (block[:, 1:] * _HALF_SLICE_FACTORS[code] + block[:, :1]).reshape(-1)
+        rotations += 1
+    probs = np.abs(psi) ** 2
+    probs *= 0.5**rotations  # the sqrt(2) per rotation, undone exactly
     return probs
 
 
@@ -212,18 +203,13 @@ def measurement_cumulative(state: StateVector, basis: MeasurementBasis) -> np.nd
     return cumulative
 
 
-def sample_outcome_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one outcome index from a normalized cumulative distribution."""
-    return int(np.searchsorted(cumulative, rng.random(), side="right"))
-
-
 def sample_measurement(state: StateVector, basis: MeasurementBasis, rng: np.random.Generator) -> ShotOutcome:
     """Measure every qubit of ``state`` in ``basis``, returning ±1 readouts.
 
     The state is re-prepared for every call, so sampling is a pure
     function of (state, basis, rng stream).
     """
-    index = sample_outcome_index(measurement_cumulative(state, basis), rng)
+    index = int(np.searchsorted(measurement_cumulative(state, basis), rng.random(), side="right"))
     return ShotOutcome(sigmas_from_index(index, state.n))
 
 

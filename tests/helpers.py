@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pauli_shadows import Hamiltonian, MeasurementBasis, PauliOp
+from pauli_shadows import Hamiltonian, MeasurementBasis, PauliOp, StateVector
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -186,3 +186,32 @@ def random_hamiltonian(
 def random_state_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return amps / np.linalg.norm(amps)
+
+
+def reference_estimate(
+    hamiltonian: Hamiltonian, state: StateVector, shots: int, sampler, rng: np.random.Generator
+) -> tuple[float, list[int]]:
+    """Per-shot reference of `estimate_energy`; returns (energy, per-term counts).
+
+    Each shot calls ``sampler.sample``, then draws its outcome with one
+    ``rng.random()`` from the dense outcome distribution, then folds the
+    covered terms' ±1 products into plain-Python sums. That consumes the
+    random stream in the batched pass's row layout, so one seed gives
+    both the same shots.
+    """
+    n = hamiltonian.n
+    sums = [0] * hamiltonian.n_terms
+    counts = [0] * hamiltonian.n_terms
+    for _ in range(shots):
+        basis = str(sampler.sample(rng))
+        cumulative = np.cumsum(dense_measurement_probs(state.amplitudes, basis))
+        index = int(np.searchsorted(cumulative / cumulative[-1], rng.random(), side="right"))
+        for term, (_, pauli) in enumerate(hamiltonian.terms):
+            if covers_reference(basis, str(pauli)):
+                sums[term] += product_of_sigmas(index, n, pauli)
+                counts[term] += 1
+    energy = hamiltonian.offset + sum(
+        alpha * (total / count if count else 0.0)
+        for (alpha, _), total, count in zip(hamiltonian.terms, sums, counts)
+    )
+    return energy, counts

@@ -12,6 +12,7 @@ from pauli_shadows import (
     MeasurementBasis,
     PauliOp,
     covers,
+    load_hamiltonian,
     parse_hamiltonian,
     serialize_hamiltonian,
 )
@@ -188,6 +189,14 @@ class TestParseHamiltonian:
     def test_empty_input(self):
         with pytest.raises(EmptyHamiltonianError):
             parse_hamiltonian("# nothing\n\n")
+
+    def test_file_error_keeps_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.ham"
+        path.write_text("0.5 XZ\n0.5 XQ\n")
+        with pytest.raises(HamiltonianFormatError) as excinfo:
+            load_hamiltonian(path)
+        assert excinfo.value.line_number == 2
+        assert str(excinfo.value) == f"{path}: line 2: bad letter 'Q' in Pauli string 'XQ'"
 
 
 @st.composite

@@ -19,13 +19,11 @@ from pauli_shadows import (
     PauliOp,
     ProductBasisSampler,
     ProductDistribution,
-    choose_adaptive_basis,
     closed_form_distribution,
     covers,
     diagonal_cost,
     locally_biased_distribution,
     parse_hamiltonian,
-    sample_product_basis,
     stage_costs,
     uniform_distribution,
 )
@@ -180,10 +178,10 @@ class TestStageCosts:
 
 class TestAdaptiveChoice:
     def test_single_qubit_forced(self):
-        h = parse_hamiltonian("1.0 Z")
+        sampler = AdaptiveBasisSampler(parse_hamiltonian("1.0 Z"))
         rng = np.random.default_rng(33)
         for _ in range(25):
-            assert str(choose_adaptive_basis(h, rng)) == "Z"
+            assert str(sampler.sample(rng)) == "Z"
 
     def test_untouched_qubit_is_uniform(self):
         h = parse_hamiltonian("1.0 ZI")
@@ -246,9 +244,9 @@ class TestAdaptiveChoice:
                     assert any(covers(MeasurementBasis(word), q) for q in h.paulis)
 
     def test_identity_only_hamiltonian_is_uniform(self):
-        h = parse_hamiltonian("0.5 II")
+        sampler = AdaptiveBasisSampler(parse_hamiltonian("0.5 II"))
         rng = np.random.default_rng(38)
-        counts = Counter(str(choose_adaptive_basis(h, rng)) for _ in range(9000))
+        counts = Counter(str(sampler.sample(rng)) for _ in range(9000))
         for word in itertools.product("XYZ", repeat=2):
             word = "".join(word)
             se = math.sqrt(9000 * (1 / 9) * (8 / 9))
@@ -275,11 +273,11 @@ class TestUniformAndProductSampling:
     def test_deterministic_product_distributions(self):
         all_z = ProductDistribution([BasisDistribution((0.0, 0.0, 1.0))] * 3)
         rng = np.random.default_rng(40)
-        assert str(sample_product_basis(all_z, rng)) == "ZZZ"
+        assert str(ProductBasisSampler(all_z).sample(rng)) == "ZZZ"
         xz = ProductDistribution(
             [BasisDistribution((1.0, 0.0, 0.0)), BasisDistribution((0.0, 0.0, 1.0))]
         )
-        assert str(sample_product_basis(xz, rng)) == "XZ"
+        assert str(ProductBasisSampler(xz).sample(rng)) == "XZ"
 
     def test_single_qubit_uniform_frequencies(self):
         sampler = ProductBasisSampler(uniform_distribution(1))

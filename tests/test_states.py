@@ -143,7 +143,7 @@ class TestMeasurementDistribution:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(14)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 5):
             amps = random_state_amplitudes(rng, n)
             state = StateVector(amps)
             for basis in all_bases(n):
