@@ -162,6 +162,26 @@ class TestCompareMethods:
         assert reports[2].predicted_error is None
         assert reports[2].distribution is None
 
+    def test_ground_state_solved_once(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from pauli_shadows import benchmark
+
+        path = tmp_path / "h.ham"
+        path.write_text("0.5 XZ\n-0.25 ZI\n0.3 YY\n")
+        config = ExperimentConfig(hamiltonian_path=str(path), shots=200, repetitions=3, master_seed=2)
+        calls = []
+
+        def counting_ground_state(*args, **kwargs):
+            calls.append(args)
+            return ground_state(*args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "ground_state", counting_ground_state)
+        compared = reports_to_json(compare_methods(config))
+        assert len(calls) == 1
+        separate = reports_to_json([run_benchmark(replace(config, method=m)) for m in ("cs", "lbcs", "aps")])
+        assert compared == separate
+
 
 class TestReportFormats:
     def test_csv_columns_and_rows(self, z_config):

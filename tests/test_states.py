@@ -1,9 +1,12 @@
 """Tests for the dense statevector simulation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pauli_shadows import (
     GroundStateConvergenceError,
@@ -15,12 +18,14 @@ from pauli_shadows import (
     expectation,
     ground_state,
     hamiltonian_expectation,
+    load_hamiltonian,
     load_state,
     measurement_distribution,
     parse_hamiltonian,
     sample_measurement,
     sigmas_from_index,
 )
+from pauli_shadows import states
 
 from helpers import (
     BELL_AMPLITUDES,
@@ -33,6 +38,7 @@ from helpers import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def bell_state():
@@ -274,7 +280,58 @@ class TestGroundState:
         h = random_hamiltonian(np.random.default_rng(22), 3, 8)
         with pytest.raises(GroundStateConvergenceError) as excinfo:
             ground_state(h, tol=1e-12, max_iter=1)
-        assert excinfo.value.best_residual > 0.0
+        # The last Ritz pair is measured before raising, not left at inf.
+        assert math.isfinite(excinfo.value.best_residual)
+        assert excinfo.value.best_residual > 1e-12
+        assert math.isfinite(excinfo.value.best_energy)
+
+    def test_one_application_per_iteration(self, monkeypatch):
+        # Each Lanczos iteration solves the tridiagonal once (eigh) and may
+        # apply H once; one more application confirms the returned pair.
+        counts = {"applies": 0, "iterations": 0}
+        apply, eigh = states._apply_compiled, np.linalg.eigh
+
+        def counting_apply(*args):
+            counts["applies"] += 1
+            return apply(*args)
+
+        def counting_eigh(*args):
+            counts["iterations"] += 1
+            return eigh(*args)
+
+        monkeypatch.setattr(states, "_apply_compiled", counting_apply)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        h = load_hamiltonian(FIXTURE_DIR / "fixture_c_8q.ham")
+        energy, state = ground_state(h)
+        assert counts["iterations"] >= 2
+        assert counts["applies"] <= counts["iterations"] + 1
+        residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
+        assert np.linalg.norm(residual) <= 1e-8
+
+
+def _operator_test_hamiltonian(rng: np.random.Generator, n: int, n_terms: int) -> Hamiltonian:
+    """Random terms biased towards Y, several sharing one flip mask, and an all-Z group over every qubit."""
+    words = set()
+    for _ in range(n_terms):  # Y-heavy strings
+        words.add("".join(rng.choice(list("IXYZ"), size=n, p=[0.2, 0.15, 0.45, 0.2])))
+    flipped = rng.random(n) < 0.5
+    for _ in range(4):  # one shared flip mask: X/Y on `flipped`, I/Z elsewhere
+        words.add("".join(rng.choice(list("XY" if f else "IZ")) for f in flipped))
+    words.add("Z" * n)  # with the single-Z strings: flip mask 0, sign support on every qubit
+    words.update("I" * q + "Z" + "I" * (n - q - 1) for q in range(n))
+    words.discard("I" * n)
+    return Hamiltonian(n, [(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0), PauliOp(w)) for w in sorted(words)])
+
+
+class TestCompiledOperator:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), n_terms=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_matrix(self, seed, n, n_terms):
+        rng = np.random.default_rng(seed)
+        h = _operator_test_hamiltonian(rng, n, n_terms)
+        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        compiled = states._apply_hamiltonian_raw(v, h)
+        assert np.max(np.abs(compiled - dense_hamiltonian(h) @ v)) <= 1e-12
 
 
 class TestLoadState:
