@@ -20,8 +20,8 @@ from .states import (
     CapacityError,
     StateVector,
     hamiltonian_expectation,
-    measurement_cumulative,
     measurement_distribution,
+    measurement_distributions,
 )
 from .sampling import ProductDistribution
 
@@ -43,7 +43,7 @@ class Accumulator:
     they cost O(n).
     """
 
-    __slots__ = ("paulis", "_index", "_codes", "_masks", "sums", "counts")
+    __slots__ = ("paulis", "_index", "_codes", "_active", "_masks", "sums", "counts")
 
     def __init__(self, paulis: Iterable[PauliOp]):
         self.paulis = tuple(paulis)
@@ -57,10 +57,11 @@ class Accumulator:
             self._codes = np.stack([p.codes for p in self.paulis])
         else:
             self._codes = np.zeros((0, 0), dtype=np.uint8)
+        self._active = self._codes != CODE_I
         # Bits of each key's non-identity qubits in an outcome index
         # (qubit 0 is the most significant bit).
         shifts = np.arange(self._codes.shape[1] - 1, -1, -1)
-        self._masks = ((self._codes != CODE_I).astype(np.int64) << shifts).sum(axis=1)
+        self._masks = (self._active.astype(np.int64) << shifts).sum(axis=1)
         self.sums = np.zeros(len(self.paulis), dtype=np.int64)
         self.counts = np.zeros(len(self.paulis), dtype=np.int64)
 
@@ -89,7 +90,7 @@ class Accumulator:
             raise ValueError("basis length does not match accumulator keys")
         if outcomes.ndim != 1 or np.any((outcomes < 0) | (outcomes >> n != 0)):
             raise ValueError(f"outcome indices must be a vector of integers in [0, 2**{n})")
-        covered = ~((self._codes != CODE_I) & (self._codes != basis.codes)).any(axis=1)
+        covered = ~(self._active & (self._codes != basis.codes)).any(axis=1)
         parity = np.bitwise_count(outcomes[:, None] & self._masks[covered]) & 1
         self.sums[covered] += outcomes.size - 2 * parity.sum(axis=0, dtype=np.int64)
         self.counts[covered] += outcomes.size
@@ -154,9 +155,11 @@ def estimate_energy(
     basis, and the last column draws its outcome. Shots are grouped by
     distinct basis; each basis gets one outcome table, one inverse-CDF
     draw of all its outcomes and one accumulator update, and its table
-    is dropped before the next one is built. Deterministic given the
-    inputs and the rng state; replaying a seed reproduces the result bit
-    for bit.
+    is dropped before the next one is built. The distinct bases come
+    lexicographically sorted, so ``measurement_distributions`` reuses the
+    rotated prefix each shares with the one before. Deterministic given
+    the inputs and the rng state; replaying a seed reproduces the result
+    bit for bit.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -169,10 +172,10 @@ def estimate_energy(
     inverse = inverse.reshape(-1)
     draws = u[np.argsort(inverse, kind="stable"), -1]
     splits = np.cumsum(np.bincount(inverse))[:-1]
-    for codes, basis_draws in zip(distinct, np.split(draws, splits)):
-        basis = MeasurementBasis(codes)
-        outcomes = np.searchsorted(measurement_cumulative(state, basis), basis_draws, side="right")
-        acc.update(basis, outcomes)
+    tables = measurement_distributions(state, distinct, cumulative=True)
+    for codes, basis_draws, cumulative in zip(distinct, np.split(draws, splits), tables):
+        outcomes = np.searchsorted(cumulative, basis_draws, side="right")
+        acc.update(MeasurementBasis(codes), outcomes)
 
     energy = hamiltonian.offset + float(np.dot(hamiltonian.coeffs, acc.means))
     return EstimationResult(

@@ -8,6 +8,8 @@ qubit 0 is the most significant bit of the basis-state index.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .paulis import CODE_X, CODE_Y, CODE_Z, Hamiltonian, MeasurementBasis, PauliOp
@@ -17,15 +19,6 @@ NORM_TOL = 1e-10
 # anything worse is treated as a corrupt file rather than renormalized.
 LOAD_NORM_TOL = 1e-4
 MAX_TABLE_QUBITS = 20
-
-# Rotations into the computational frame, each times sqrt(2), written as
-# [[1, a], [1, b]]: the Hadamard for X, phase-dagger then Hadamard for Y.
-# Entry k of the column (a, b) scales the bit-1 amplitude in output bit k.
-_HALF_SLICE_FACTORS = {
-    CODE_X: np.array([[1.0], [-1.0]], dtype=np.complex128),
-    CODE_Y: np.array([[-1.0j], [1.0j]], dtype=np.complex128),
-}
-
 
 class CapacityError(ValueError):
     """The requested dense table would exceed the supported qubit count."""
@@ -77,7 +70,7 @@ class ShotOutcome:
         arr = np.asarray(sigmas, dtype=np.int8)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("sigmas must be a non-empty vector")
-        if not np.all(np.abs(arr) == 1):
+        if (np.abs(arr) != 1).any():
             raise ValueError("each sigma must be +1 or -1")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -98,11 +91,12 @@ class ShotOutcome:
         return f"ShotOutcome({tuple(int(s) for s in self.sigmas)})"
 
 
+_SIGMAS = np.array([1, -1], dtype=np.int8)
+
+
 def sigmas_from_index(index: int, n: int) -> np.ndarray:
     """Map a basis-state index to ±1 readouts (bit 0 -> +1, bit 1 -> -1)."""
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (index >> shifts) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    return _SIGMAS[(index >> np.arange(n - 1, -1, -1)) & 1]
 
 
 def _check_lengths(state: StateVector, op) -> None:
@@ -215,35 +209,71 @@ def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> flo
     return float(value.real) + hamiltonian.offset
 
 
+def _rotate_leading(psi: np.ndarray, code: int) -> np.ndarray:
+    """Rotate the leading qubit to the computational frame (times sqrt(2) unless Z) and make it last.
+
+    The halves a (bit 0) and b (bit 1) become the columns of a (half, 2)
+    output: X is (a + b, a - b), Y the same after b *= -i, Z a plain move.
+    Every product is by ±1 or ±i, so each step is exact.
+    """
+    half = psi.size // 2
+    a, b = psi[:half], psi[half:]
+    out = np.empty((half, 2), dtype=np.complex128)
+    if code == CODE_Z:
+        out[:, 0], out[:, 1] = a, b
+    else:
+        if code == CODE_Y:
+            b = b * -1j
+        np.add(a, b, out=out[:, 0])
+        np.subtract(a, b, out=out[:, 1])
+    return out.reshape(-1)
+
+
+def measurement_distributions(state: StateVector, rows: np.ndarray, cumulative: bool = False):
+    """Yield the outcome table of each row of letter codes (its normalized cumsum if ``cumulative``).
+
+    A table rotates the n qubits in turn with ``_rotate_leading``, which
+    leaves the amplitudes in their original order. A stack keeps the n + 1
+    partially rotated states (16 * 2^n bytes each), and each row restarts
+    at its first letter that differs from the previous row's, so rows in
+    lexicographic order share their rotated prefixes.
+    """
+    n = state.n
+    if n > MAX_TABLE_QUBITS:
+        raise CapacityError(f"outcome table needs 2^{n} entries; limit is 2^{MAX_TABLE_QUBITS}")
+    stack = [state.amplitudes]
+    previous: list[int] = []
+    for row in rows:
+        codes = row.tolist()
+        depth = next((q for q, (old, new) in enumerate(zip(previous, codes)) if old != new), len(previous))
+        del stack[depth + 1 :]
+        for code in codes[depth:]:
+            stack.append(_rotate_leading(stack[-1], code))
+        previous = codes
+        table = np.abs(stack[-1]) ** 2
+        table *= 0.5 ** (n - codes.count(CODE_Z))  # the sqrt(2) per X/Y rotation, undone exactly
+        if cumulative:
+            table = np.cumsum(table)
+            table /= table[-1]
+        yield table
+
+
 def measurement_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
     """Exact outcome probabilities of measuring every qubit in ``basis``.
 
     Entry k is the probability of the outcome whose qubit-i readout is
     ``sigmas_from_index(k, n)[i]`` (bit 0 of the index -> +1, bit 1 -> -1,
     qubit 0 as the most significant bit). Entries sum to 1 within 1e-10.
+    The one-row case of ``measurement_distributions``.
     """
     _check_lengths(state, basis)
-    if state.n > MAX_TABLE_QUBITS:
-        raise CapacityError(f"outcome table needs 2^{state.n} entries; limit is 2^{MAX_TABLE_QUBITS}")
-    psi = state.amplitudes
-    rotations = 0
-    for qubit, code in enumerate(basis.codes.tolist()):
-        if code == CODE_Z:
-            continue
-        # Both half-slices of the qubit's axis at once: bit-0 + (a, b) * bit-1.
-        block = psi.reshape(2**qubit, 2, -1)
-        psi = (block[:, 1:] * _HALF_SLICE_FACTORS[code] + block[:, :1]).reshape(-1)
-        rotations += 1
-    probs = np.abs(psi) ** 2
-    probs *= 0.5**rotations  # the sqrt(2) per rotation, undone exactly
-    return probs
+    return next(measurement_distributions(state, basis.codes[None]))
 
 
 def measurement_cumulative(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
     """Normalized cumulative outcome distribution used for inverse-CDF sampling."""
-    cumulative = np.cumsum(measurement_distribution(state, basis))
-    cumulative /= cumulative[-1]
-    return cumulative
+    _check_lengths(state, basis)
+    return next(measurement_distributions(state, basis.codes[None], cumulative=True))
 
 
 def sample_measurement(state: StateVector, basis: MeasurementBasis, rng: np.random.Generator) -> ShotOutcome:
@@ -353,7 +383,7 @@ def load_state(text: str, n: int) -> StateVector:
             re_part, im_part = float(fields[0]), float(fields[1])
         except ValueError:
             raise ValueError(f"line {line_number}: bad amplitude {raw.strip()!r}") from None
-        if not (np.isfinite(re_part) and np.isfinite(im_part)):
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
             raise ValueError(f"line {line_number}: non-finite amplitude")
         values.append(complex(re_part, im_part))
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from pauli_shadows import Hamiltonian, MeasurementBasis, PauliOp, StateVector
+from pauli_shadows.paulis import CODE_X, CODE_Y, CODE_Z
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -58,6 +59,35 @@ def dense_measurement_probs(amplitudes: np.ndarray, basis_letters: str) -> np.nd
         rotation = np.kron(rotation, DENSE_ROTATION[letter])
     rotated = rotation @ amplitudes
     return np.abs(rotated) ** 2
+
+
+# Each rotation into the computational frame times sqrt(2), written as
+# [[1, a], [1, b]]: the Hadamard for X, phase-dagger then Hadamard for Y.
+# Entry k of the column (a, b) scales the bit-1 amplitude in output bit k.
+_HALF_SLICE_FACTORS = {
+    CODE_X: np.array([[1.0], [-1.0]], dtype=np.complex128),
+    CODE_Y: np.array([[-1.0j], [1.0j]], dtype=np.complex128),
+}
+
+
+def reshape_loop_probs(amplitudes: np.ndarray, codes) -> np.ndarray:
+    """Outcome probabilities by rotating each non-Z qubit in place on a ``reshape(2**qubit, 2, -1)`` view.
+
+    It makes the same exact products by ±1 and ±i as the library's
+    leading-qubit kernel, in another amplitude order, so the two must
+    agree bit for bit.
+    """
+    psi = amplitudes
+    rotations = 0
+    for qubit, code in enumerate(np.asarray(codes).tolist()):
+        if code == CODE_Z:
+            continue
+        block = psi.reshape(2**qubit, 2, -1)
+        psi = (block[:, 1:] * _HALF_SLICE_FACTORS[code] + block[:, :1]).reshape(-1)
+        rotations += 1
+    probs = np.abs(psi) ** 2
+    probs *= 0.5**rotations
+    return probs
 
 
 def all_bases(n: int) -> list[MeasurementBasis]:

@@ -13,8 +13,10 @@ from pauli_shadows import (
     Hamiltonian,
     MeasurementBasis,
     PauliOp,
+    ProductBasisSampler,
     StateVector,
     apply_pauli,
+    estimate_energy,
     expectation,
     ground_state,
     hamiltonian_expectation,
@@ -24,6 +26,7 @@ from pauli_shadows import (
     parse_hamiltonian,
     sample_measurement,
     sigmas_from_index,
+    uniform_distribution,
 )
 from pauli_shadows import states
 
@@ -35,6 +38,7 @@ from helpers import (
     dense_pauli,
     product_of_sigmas,
     random_state_amplitudes,
+    reshape_loop_probs,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -177,6 +181,62 @@ class TestMeasurementDistribution:
                         p * product_of_sigmas(i, n, pauli) for i, p in enumerate(probs)
                     )
                     assert weighted == pytest.approx(expectation(state, pauli), abs=1e-10)
+
+
+@st.composite
+def sorted_basis_rows(draw):
+    """Sorted distinct basis rows of 1-10 qubits: families sharing long prefixes, and the all-Z row."""
+    n = draw(st.integers(1, 10))
+    letters = st.integers(1, 3)
+    rows = {(3,) * n}
+    for _ in range(draw(st.integers(1, 4))):
+        stem = draw(st.lists(letters, min_size=n, max_size=n))
+        for _ in range(draw(st.integers(1, 5))):
+            keep = draw(st.integers(0, n))
+            rows.add(tuple(stem[:keep] + draw(st.lists(letters, min_size=n - keep, max_size=n - keep))))
+    return n, np.array(sorted(rows), dtype=np.uint8)
+
+
+def _trie_nodes(rows) -> int:
+    """Distinct non-empty prefixes of the rows."""
+    return len({tuple(row[:depth]) for row in rows.tolist() for depth in range(1, len(row) + 1)})
+
+
+class TestOutcomeTables:
+    @given(case=sorted_basis_rows(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_tables_match_reshape_loop_bit_for_bit(self, case, seed):
+        n, rows = case
+        state = StateVector(random_state_amplitudes(np.random.default_rng(seed), n))
+        tables = list(states.measurement_distributions(state, rows))
+        cumulatives = list(states.measurement_distributions(state, rows, cumulative=True))
+        assert len(tables) == len(cumulatives) == len(rows)
+        for row, table, cumulative in zip(rows, tables, cumulatives):
+            oracle = reshape_loop_probs(state.amplitudes, row)
+            assert np.array_equal(table, oracle)
+            assert np.array_equal(cumulative, np.cumsum(oracle) / np.cumsum(oracle)[-1])
+            assert np.array_equal(measurement_distribution(state, MeasurementBasis(row)), oracle)
+
+    def test_sorted_rows_share_rotated_prefixes(self, monkeypatch):
+        # estimate_energy rotates each node of the trie of its distinct
+        # bases once: one leading-qubit rotation per distinct prefix.
+        calls = []
+        rotate = states._rotate_leading
+
+        def counting_rotate(psi, code):
+            calls.append(code)
+            return rotate(psi, code)
+
+        h = load_hamiltonian(FIXTURE_DIR / "fixture_c_8q.ham")
+        _, state = ground_state(h)
+        sampler = ProductBasisSampler(uniform_distribution(h.n))
+        shots = 1000
+        u = np.random.default_rng(2).random((shots, sampler.uniforms + 1))
+        rows = np.unique(sampler.bases(u[:, :-1]), axis=0)
+        monkeypatch.setattr(states, "_rotate_leading", counting_rotate)
+        estimate_energy(h, state, shots, sampler, np.random.default_rng(2))
+        assert len(calls) == _trie_nodes(rows)
+        assert len(calls) < h.n * len(rows)
 
 
 class TestSampleMeasurement:
@@ -362,3 +422,13 @@ class TestLoadState:
     def test_comments_and_imaginary_parts(self):
         state = load_state("# a Y eigenstate\n0.7071067811865476 0\n0 0.7071067811865476\n", 1)
         assert expectation(state, PauliOp("Y")) == pytest.approx(1.0, abs=1e-9)
+
+    def test_first_bad_line_is_named(self):
+        with pytest.raises(ValueError, match="line 4: expected"):
+            load_state("# header\n0.6 0\n\n0.8 0 0\n", 1)
+
+    def test_parse_is_exact(self):
+        amps = random_state_amplitudes(np.random.default_rng(16), 6)
+        lines = [f"{float(a.real)!r} {float(a.imag)!r}  # amplitude {k}\n\n" for k, a in enumerate(amps)]
+        state = load_state("# six qubits\n" + "".join(lines), 6)
+        assert np.array_equal(state.amplitudes, amps / np.linalg.norm(amps))
