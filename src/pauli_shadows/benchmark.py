@@ -28,7 +28,6 @@ from .paulis import Hamiltonian, load_hamiltonian
 from .sampling import (
     AdaptiveBasisSampler,
     ProductBasisSampler,
-    ProductDistribution,
     diagonal_cost,
     locally_biased_distribution,
     uniform_distribution,
@@ -61,7 +60,6 @@ class ExperimentConfig:
     state_path: str | None = None  # None -> compute the ground state
     lbcs_tol: float = 1e-10
     workers: int = 1
-    output_format: str = "json"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -74,8 +72,6 @@ class ExperimentConfig:
             raise ValueError("master_seed must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be 'csv' or 'json'")
 
 
 @dataclass
@@ -150,7 +146,7 @@ class BenchmarkReport:
         ]
 
 
-def _build_sampler(method: str, hamiltonian: Hamiltonian, distribution: ProductDistribution | None):
+def _build_sampler(method: str, hamiltonian: Hamiltonian, distribution: np.ndarray | None):
     if method == "aps":
         return AdaptiveBasisSampler(hamiltonian)
     return ProductBasisSampler(distribution)
@@ -192,7 +188,7 @@ def _run_method(
     state_seconds = time.perf_counter() - started
 
     build_started = time.perf_counter()
-    distribution: ProductDistribution | None = None
+    distribution: np.ndarray | None = None
     if config.method == "cs":
         distribution = uniform_distribution(hamiltonian.n)
     elif config.method == "lbcs":
@@ -242,7 +238,7 @@ def _run_method(
         mean_abs_error=mean_abs_error,
         predicted_error=predicted_error,
         predicted_error_infinite=predicted_infinite,
-        distribution=distribution.to_jsonable() if distribution is not None else None,
+        distribution=distribution.tolist() if distribution is not None else None,
         uncovered_counts=uncovered_counts,
         timings={
             "wall_time_s": time.perf_counter() - started,

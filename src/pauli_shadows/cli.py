@@ -63,7 +63,6 @@ def _config_from_args(args: argparse.Namespace, method: str) -> ExperimentConfig
         state_path=args.state,
         lbcs_tol=args.lbcs_tol,
         workers=args.workers,
-        output_format=args.format,
     )
 
 

@@ -8,20 +8,23 @@ Three ways to pick product Pauli bases for energy estimation:
 * per-shot adaptive selection that conditions each qubit's letter
   distribution on the letters already assigned (APS).
 
-All three share one convex subproblem: minimizing
-``c_X/p_X + c_Y/p_Y + c_Z/p_Z`` over the probability simplex, whose
-closed-form solution is ``p_B proportional to sqrt(c_B)``.
+A product distribution is a read-only (n, 3) float64 array whose row q
+holds qubit q's X, Y and Z probabilities; ``product_distribution``
+validates one. All three strategies share one convex subproblem:
+minimizing ``c_X/p_X + c_Y/p_Y + c_Z/p_Z`` over the probability
+simplex. Its closed-form solution is ``p_B proportional to sqrt(c_B)``,
+which ``closed_form_distribution`` computes row by row; LBCS applies it
+once per qubit in each sweep, APS at every stage of every shot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, Hamiltonian, MeasurementBasis, PauliOp
+from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, Hamiltonian, MeasurementBasis
 
 PROB_SUM_TOL = 1e-12
 
@@ -31,190 +34,70 @@ PROB_SUM_TOL = 1e-12
 LBCS_PROB_FLOOR = 1e-12
 
 
-class CostTriple(NamedTuple):
-    """Squared-coefficient masses attributed to the X, Y, and Z letters."""
+def product_distribution(table) -> np.ndarray:
+    """Validate per-qubit (p_X, p_Y, p_Z) rows as a read-only (n, 3) float64 array.
 
-    x: float
-    y: float
-    z: float
-
-
-class BasisDistribution:
-    """Probabilities for measuring one qubit in the X, Y, or Z basis."""
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs: Sequence[float]):
-        probs = tuple(float(p) for p in probs)
-        if len(probs) != 3:
-            raise ValueError("a basis distribution needs exactly three probabilities")
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            raise ValueError(f"probabilities must lie in [0, 1], got {probs}")
-        if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {sum(probs)}")
-        self.probs = probs
-
-    @classmethod
-    def uniform(cls) -> "BasisDistribution":
-        return cls((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-
-    def __getitem__(self, index: int) -> float:
-        return self.probs[index]
-
-    def __iter__(self):
-        return iter(self.probs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BasisDistribution):
-            return NotImplemented
-        return self.probs == other.probs
-
-    def __repr__(self) -> str:
-        return f"BasisDistribution({self.probs})"
-
-
-class ProductDistribution:
-    """Independent per-qubit basis distributions for a whole register."""
-
-    __slots__ = ("per_qubit",)
-
-    def __init__(self, per_qubit: Sequence[BasisDistribution]):
-        per_qubit = tuple(per_qubit)
-        if not per_qubit:
-            raise ValueError("a product distribution needs at least one qubit")
-        if not all(isinstance(d, BasisDistribution) for d in per_qubit):
-            raise TypeError("per_qubit entries must be BasisDistribution instances")
-        self.per_qubit = per_qubit
-
-    @property
-    def n(self) -> int:
-        return len(self.per_qubit)
-
-    def __len__(self) -> int:
-        return len(self.per_qubit)
-
-    def __getitem__(self, qubit: int) -> BasisDistribution:
-        return self.per_qubit[qubit]
-
-    def __iter__(self):
-        return iter(self.per_qubit)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProductDistribution):
-            return NotImplemented
-        return self.per_qubit == other.per_qubit
-
-    def as_array(self) -> np.ndarray:
-        """Probabilities as an (n, 3) array with columns X, Y, Z."""
-        return np.array([d.probs for d in self.per_qubit], dtype=np.float64)
-
-    def coverage_probability(self, pauli: PauliOp) -> float:
-        """Probability that a sampled basis covers ``pauli``."""
-        if pauli.n != self.n:
-            raise ValueError("Pauli length does not match distribution length")
-        prob = 1.0
-        for qubit, code in enumerate(pauli.codes):
-            if code != CODE_I:
-                prob *= self.per_qubit[qubit].probs[code - 1]
-        return prob
-
-    def to_jsonable(self) -> list[list[float]]:
-        return [list(d.probs) for d in self.per_qubit]
-
-    def __repr__(self) -> str:
-        return f"ProductDistribution(n={self.n})"
-
-
-def closed_form_distribution(costs: CostTriple | Sequence[float]) -> BasisDistribution:
-    """Minimizer of ``sum_B c_B / p_B`` over the probability simplex.
-
-    With every mass zero the objective is flat, so the uniform
-    distribution is returned. Letters with zero mass get probability
-    exactly 0 (convention c/0 = 0), and are therefore never sampled.
+    Needs n >= 1, every entry in [0, 1] and every row summing to 1
+    within ``PROB_SUM_TOL``. Returns a copy.
     """
-    c = tuple(float(v) for v in costs)
-    if len(c) != 3:
-        raise ValueError("expected three cost masses")
-    if any(v < 0.0 for v in c):
-        raise ValueError(f"cost masses must be nonnegative, got {c}")
-    roots = tuple(math.sqrt(v) for v in c)
-    total = sum(roots)
-    if total == 0.0:
-        return BasisDistribution.uniform()
-    return BasisDistribution(tuple(r / total for r in roots))
+    probs = np.array(table, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] != 3:
+        raise ValueError(f"a product distribution is an (n, 3) table, got shape {probs.shape}")
+    if probs.shape[0] < 1:
+        raise ValueError("a product distribution needs at least one qubit")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_SUM_TOL):
+        raise ValueError("each qubit's probabilities must sum to 1")
+    probs.setflags(write=False)
+    return probs
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """A qubit processing order plus the letters chosen so far.
+def closed_form_distribution(costs) -> np.ndarray:
+    """Minimizer of ``sum_B c_B / p_B`` over the simplex, for each row of (..., 3) masses.
 
-    ``ordering`` is a bijection on qubits; stage j handles qubit
-    ``ordering[j]``. ``assigned[j]`` is the letter code already chosen at
-    stage j, so ``len(assigned)`` stages are complete.
+    A row whose masses are all zero has a flat objective and gets the
+    uniform distribution. Letters with zero mass get probability exactly
+    0 (convention c/0 = 0), and are therefore never sampled.
     """
-
-    ordering: tuple[int, ...]
-    assigned: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.ordering)
-        if sorted(self.ordering) != list(range(n)):
-            raise ValueError("ordering must be a bijection on {0, ..., n-1}")
-        if len(self.assigned) > n:
-            raise ValueError("more assigned letters than stages")
-        if any(code not in (1, 2, 3) for code in self.assigned):
-            raise ValueError("assigned letters must be X, Y, or Z codes")
+    c = np.asarray(costs, dtype=np.float64)
+    if c.shape[-1:] != (3,):
+        raise ValueError(f"expected three cost masses per row, got shape {c.shape}")
+    if (c < 0.0).any():
+        raise ValueError("cost masses must be nonnegative")
+    roots = np.sqrt(c)
+    roots += roots.sum(axis=-1, keepdims=True) == 0.0  # an all-zero row becomes uniform
+    return roots / roots.sum(axis=-1, keepdims=True)
 
 
-def stage_costs(hamiltonian: Hamiltonian, assignment: PartialAssignment, stage: int) -> CostTriple:
-    """Letter masses for the current stage of adaptive basis selection.
-
-    Collects the Hamiltonian terms that act non-trivially on the stage's
-    qubit and are still consistent with every previously assigned letter,
-    and splits their squared coefficients by the letter at that qubit.
-    """
-    if not 0 <= stage < len(assignment.ordering):
-        raise ValueError(f"stage {stage} out of range")
-    if stage > len(assignment.assigned):
-        raise ValueError(f"stage {stage} reached before earlier stages were assigned")
-    qubit = assignment.ordering[stage]
-    masses = [0.0, 0.0, 0.0]
-    for alpha, pauli in hamiltonian.terms:
-        code = int(pauli.codes[qubit])
-        if code == CODE_I:
-            continue
-        consistent = True
-        for done in range(stage):
-            prior = int(pauli.codes[assignment.ordering[done]])
-            if prior != CODE_I and prior != assignment.assigned[done]:
-                consistent = False
-                break
-        if consistent:
-            masses[code - 1] += alpha * alpha
-    return CostTriple(*masses)
-
-
-def uniform_distribution(n: int) -> ProductDistribution:
+def uniform_distribution(n: int) -> np.ndarray:
     """The classical-shadows distribution: every letter of every qubit is 1/3."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    return ProductDistribution([BasisDistribution.uniform() for _ in range(n)])
+    return product_distribution(np.full((n, 3), 1.0 / 3.0))
 
 
-def diagonal_cost(hamiltonian: Hamiltonian, pd: ProductDistribution) -> float:
+def _term_factors(codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """factors[t, q]: probability under ``probs`` of term t's letter at qubit q, 1 where it is I."""
+    nontrivial = codes != CODE_I
+    factors = probs[np.arange(codes.shape[1]), np.where(nontrivial, codes.astype(np.int64) - 1, 0)]
+    factors[~nontrivial] = 1.0
+    return factors
+
+
+def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
     """Variance surrogate ``sum_P alpha_P^2 / Pr[P covered]``.
 
     Returns ``math.inf`` when some term has zero coverage probability.
     The constant offset never contributes (it is measured exactly).
     """
-    if hamiltonian.n != pd.n:
+    probs = product_distribution(table)
+    if hamiltonian.n != probs.shape[0]:
         raise ValueError("Hamiltonian and distribution qubit counts differ")
+    coverage = _term_factors(hamiltonian.codes, probs).prod(axis=1)
+    if np.any(coverage == 0.0):
+        return math.inf
     total = 0.0
-    for alpha, pauli in hamiltonian.terms:
-        coverage = pd.coverage_probability(pauli)
-        if coverage == 0.0:
-            return math.inf
-        total += alpha * alpha / coverage
+    for share in (hamiltonian.coeffs * hamiltonian.coeffs / coverage).tolist():
+        total += share  # in term order: a pairwise np.sum moves predicted_error's last digit
     return total
 
 
@@ -227,24 +110,12 @@ def _lbcs_sweeps(
     the exact coordinate minimizer given the other (floored) qubits.
     """
     n = hamiltonian.n
-    m = hamiltonian.n_terms
     codes = hamiltonian.codes
     masses_all = hamiltonian.coeffs * hamiltonian.coeffs
 
     raw = np.full((n, 3), 1.0 / 3.0)
     floored = raw.copy()
-
-    # factor[t, q] = floored prob of term t's letter at qubit q (1 where identity)
-    nontrivial = codes != CODE_I
-    letter_index = np.where(nontrivial, codes.astype(np.int64) - 1, 0)
-    qubit_index = np.tile(np.arange(n), (m, 1))
-
-    def term_factors() -> np.ndarray:
-        factors = floored[qubit_index, letter_index]
-        factors[~nontrivial] = 1.0
-        return factors
-
-    factors = term_factors()
+    factors = _term_factors(codes, floored)
     coverage = factors.prod(axis=1)
 
     for _ in range(max_sweeps):
@@ -257,14 +128,8 @@ def _lbcs_sweeps(
                 # probabilities, i.e. coverage with this qubit's factor removed
                 partial = masses_all[active] * (factors[active, qubit] / coverage[active])
                 masses = np.bincount(column[active] - 1, weights=partial, minlength=3)
-            total = masses.sum()
-            if total > 0.0:
-                roots = np.sqrt(masses)
-                new_raw = roots / roots.sum()
-            else:
-                new_raw = np.full(3, 1.0 / 3.0)
-            raw[qubit] = new_raw
-            clipped = np.maximum(new_raw, LBCS_PROB_FLOOR)
+            raw[qubit] = closed_form_distribution(masses)
+            clipped = np.maximum(raw[qubit], LBCS_PROB_FLOOR)
             floored[qubit] = clipped / clipped.sum()
             if active.any():
                 new_factors = floored[qubit, column[active] - 1]
@@ -277,7 +142,7 @@ def _lbcs_sweeps(
 
 def locally_biased_distribution(
     hamiltonian: Hamiltonian, tol: float = 1e-10, max_sweeps: int = 10_000
-) -> ProductDistribution:
+) -> np.ndarray:
     """Fit the LBCS product distribution by cyclic coordinate descent.
 
     Starts from the uniform distribution and sweeps qubits in index
@@ -297,12 +162,11 @@ def locally_biased_distribution(
             break
         previous_cost = cost
 
-    unfloored = ProductDistribution([BasisDistribution(tuple(row)) for row in raw])
-    if math.isfinite(diagonal_cost(hamiltonian, unfloored)):
-        return unfloored
+    if math.isfinite(diagonal_cost(hamiltonian, raw)):
+        return product_distribution(raw)
     clipped = np.maximum(raw, LBCS_PROB_FLOOR)
     clipped /= clipped.sum(axis=1, keepdims=True)
-    return ProductDistribution([BasisDistribution(tuple(row)) for row in clipped])
+    return product_distribution(clipped)
 
 
 _LETTER_CODES = np.array([[CODE_X], [CODE_Y], [CODE_Z]])
@@ -331,14 +195,10 @@ class ProductBasisSampler:
     qubit q's letter.
     """
 
-    def __init__(self, distribution: ProductDistribution):
-        self.distribution = distribution
-        self.uniforms = distribution.n
-        self._t0, self._t1 = _thresholds(distribution.as_array())
-
-    @property
-    def n(self) -> int:
-        return self.distribution.n
+    def __init__(self, distribution):
+        probs = product_distribution(distribution)
+        self.uniforms = probs.shape[0]
+        self._t0, self._t1 = _thresholds(probs)
 
     def bases(self, u: np.ndarray) -> np.ndarray:
         """Map a (shots, n) block of U[0, 1) draws to (shots, n) letter codes."""
@@ -365,10 +225,6 @@ class AdaptiveBasisSampler:
         self._columns = np.ascontiguousarray(hamiltonian.codes.T)  # (n, terms)
         self._masses = hamiltonian.coeffs * hamiltonian.coeffs
 
-    @property
-    def n(self) -> int:
-        return self.hamiltonian.n
-
     def bases(self, u: np.ndarray) -> np.ndarray:
         """Map a (shots, 2n) block of U[0, 1) draws to (shots, n) letter codes.
 
@@ -394,9 +250,7 @@ class AdaptiveBasisSampler:
             column = self._columns[qubits]
             # live[s, l, t]: term t is alive in shot s and has letter l + 1 at its qubit
             live = np.where(alive, column, CODE_I)[:, None, :] == _LETTER_CODES
-            roots = np.sqrt(masses.sum(axis=2, where=live))
-            roots += roots.sum(axis=1, keepdims=True) == 0.0  # no alive term acts here: uniform
-            t0, t1 = _thresholds(roots / roots.sum(axis=1, keepdims=True))
+            t0, t1 = _thresholds(closed_form_distribution(masses.sum(axis=2, where=live)))
             draws = u[:, n + stage]
             letters = (1 + (draws >= t0) + (draws >= t1)).astype(np.uint8)
             codes[rows, qubits] = letters

@@ -14,10 +14,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from pauli_shadows import Hamiltonian, MeasurementBasis, PauliOp, StateVector
-from pauli_shadows.paulis import CODE_X, CODE_Y, CODE_Z
+from pauli_shadows import (
+    CapacityError,
+    Hamiltonian,
+    MeasurementBasis,
+    PauliOp,
+    StateVector,
+    hamiltonian_expectation,
+    measurement_distribution,
+)
+from pauli_shadows.paulis import CODE_I, CODE_X, CODE_Y, CODE_Z
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+VARIANCE_ORACLE_MAX_QUBITS = 4
 
 DENSE_LETTER = {
     "I": np.eye(2, dtype=complex),
@@ -220,8 +230,8 @@ def random_state_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def reference_estimate(
     hamiltonian: Hamiltonian, state: StateVector, shots: int, sampler, rng: np.random.Generator
-) -> tuple[float, list[int]]:
-    """Per-shot reference of `estimate_energy`; returns (energy, per-term counts).
+) -> tuple[float, list[int], list[int]]:
+    """Per-shot reference of `estimate_energy`; returns (energy, per-term sums, per-term counts).
 
     Each shot calls ``sampler.sample``, then draws its outcome with one
     ``rng.random()`` from the dense outcome distribution, then folds the
@@ -244,4 +254,78 @@ def reference_estimate(
         alpha * (total / count if count else 0.0)
         for (alpha, _), total, count in zip(hamiltonian.terms, sums, counts)
     )
-    return energy, counts
+    return energy, sums, counts
+
+
+def coverage_probability(pd, pauli: PauliOp) -> float:
+    """Probability that a basis drawn from the (n, 3) table ``pd`` covers ``pauli``."""
+    prob = 1.0
+    for qubit, code in enumerate(pauli.codes):
+        if code != CODE_I:
+            prob *= float(pd[qubit][code - 1])
+    return prob
+
+
+def exact_single_shot_variance(hamiltonian: Hamiltonian, state: StateVector, pd) -> float:
+    """Exact variance of the inverse-probability one-shot energy estimator.
+
+    The estimator reweights each covered term's ±1 product by its
+    coverage probability under the (n, 3) table ``pd``, which makes a
+    single shot unbiased; this routine enumerates every basis (weighted
+    by ``pd``) and every outcome (weighted by the exact measurement
+    distribution) to compute its variance. Also cross-checks that the
+    enumerated mean matches the exact energy to 1e-9. Returns
+    ``math.inf`` when some term can never be covered.
+
+    Note: the per-term means of `estimate_energy` condition on coverage
+    instead of reweighting. Both are unbiased, but their
+    variances differ; this oracle describes the reweighted estimator.
+    """
+    n = hamiltonian.n
+    if n > VARIANCE_ORACLE_MAX_QUBITS:
+        raise CapacityError(
+            f"variance oracle enumerates 3^n * 2^n states; limit is n <= {VARIANCE_ORACLE_MAX_QUBITS}"
+        )
+    if len(pd) != n or state.n != n:
+        raise ValueError("Hamiltonian, state, and distribution qubit counts differ")
+
+    coverages = np.array([coverage_probability(pd, p) for p in hamiltonian.paulis])
+    if np.any(coverages == 0.0):
+        return math.inf
+
+    coeffs = hamiltonian.coeffs
+    codes = hamiltonian.codes
+    outcome_indices = np.arange(2**n)
+    # Sign of each term's product for every outcome index: parity of the
+    # minus-one readouts at the term's non-identity positions.
+    term_masks = np.array(
+        [sum(1 << (n - 1 - q) for q in range(n) if p.codes[q] != CODE_I) for p in hamiltonian.paulis],
+        dtype=np.int64,
+    )
+    sign_table = 1.0 - 2.0 * (np.bitwise_count(outcome_indices[:, None] & term_masks[None, :]) & 1)
+
+    mean = 0.0
+    second_moment = 0.0
+    for letters in itertools.product((1, 2, 3), repeat=n):
+        basis = MeasurementBasis(np.array(letters, dtype=np.uint8))
+        basis_prob = 1.0
+        for qubit, code in enumerate(letters):
+            basis_prob *= float(pd[qubit][code - 1])
+        if basis_prob == 0.0:
+            continue
+        covered = ~((codes != CODE_I) & (codes != basis.codes)).any(axis=1)
+        if covered.any():
+            weights = coeffs[covered] / coverages[covered]
+            estimates = hamiltonian.offset + sign_table[:, covered] @ weights
+        else:
+            estimates = np.full(2**n, hamiltonian.offset)
+        outcome_probs = measurement_distribution(state, basis)
+        mean += basis_prob * float(outcome_probs @ estimates)
+        second_moment += basis_prob * float(outcome_probs @ (estimates * estimates))
+
+    exact = hamiltonian_expectation(state, hamiltonian)
+    if abs(mean - exact) > 1e-9:
+        raise ArithmeticError(
+            f"enumerated estimator mean {mean} differs from exact energy {exact}"
+        )
+    return max(0.0, second_moment - mean * mean)

@@ -28,7 +28,6 @@ from pauli_shadows import (
     closed_form_distribution,
     compare_methods,
     estimate_energy,
-    exact_single_shot_variance,
     expectation,
     ground_state,
     hamiltonian_expectation,
@@ -45,6 +44,7 @@ from pauli_shadows.benchmark import reports_to_json
 from helpers import (
     BELL_AMPLITUDES,
     all_bases,
+    exact_single_shot_variance,
     product_of_sigmas,
     random_hamiltonian,
     random_state_amplitudes,
@@ -98,8 +98,8 @@ def test_criterion_1_closed_form_optimality():
             costs[rng.random(3) < 0.2] = 0.0
             dist = closed_form_distribution(costs)
             value = sum(
-                c / p for c, p in zip(costs, dist.probs) if c > 0.0
-            ) if all(p > 0.0 for c, p in zip(costs, dist.probs) if c > 0.0) else math.inf
+                c / p for c, p in zip(costs, dist) if c > 0.0
+            ) if all(p > 0.0 for c, p in zip(costs, dist) if c > 0.0) else math.inf
             total = np.zeros(len(grid))
             for column in range(3):
                 if costs[column] > 0.0:

@@ -9,13 +9,14 @@ import pytest
 from pauli_shadows import (
     ExperimentConfig,
     compare_methods,
-    exact_single_shot_variance,
     ground_state,
     locally_biased_distribution,
     parse_hamiltonian,
     run_benchmark,
 )
 from pauli_shadows.benchmark import CSV_COLUMNS, reports_to_csv, reports_to_json, write_reports
+
+from helpers import exact_single_shot_variance
 
 SINGLE_Z = "1.0 Z\n"
 
@@ -47,8 +48,6 @@ class TestExperimentConfig:
             ExperimentConfig(hamiltonian_path=path, shots=0)
         with pytest.raises(ValueError):
             ExperimentConfig(hamiltonian_path=path, repetitions=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(hamiltonian_path=path, output_format="yaml")
         with pytest.raises(ValueError):
             ExperimentConfig(hamiltonian_path=path, workers=0)
 

@@ -1,6 +1,5 @@
-"""Tests for the shot loop, accumulators, and the exact variance oracle."""
+"""Tests for the estimation pass, its per-term fold, and the exact variance oracle."""
 
-import itertools
 import math
 
 import numpy as np
@@ -9,19 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_shadows import (
-    Accumulator,
     AdaptiveBasisSampler,
-    BasisDistribution,
     CapacityError,
-    Hamiltonian,
     MeasurementBasis,
     PauliOp,
     ProductBasisSampler,
-    ProductDistribution,
     StateVector,
-    covers,
     estimate_energy,
-    exact_single_shot_variance,
     expectation,
     ground_state,
     hamiltonian_expectation,
@@ -30,10 +23,14 @@ from pauli_shadows import (
     parse_hamiltonian,
     uniform_distribution,
 )
+from pauli_shadows.estimation import _fold
+from pauli_shadows.paulis import covers
 
 from helpers import (
     BELL_AMPLITUDES,
     all_bases,
+    coverage_probability,
+    exact_single_shot_variance,
     product_of_sigmas,
     random_hamiltonian,
     random_state_amplitudes,
@@ -42,53 +39,41 @@ from helpers import (
 
 
 def z_pd(n):
-    return ProductDistribution([BasisDistribution((0.0, 0.0, 1.0))] * n)
+    return np.array([[0.0, 0.0, 1.0]] * n)
+
+
+def fold(terms, shots):
+    """``_fold`` over term strings and (basis, outcome index) shots, as plain lists."""
+    codes = np.stack([PauliOp(word).codes for word in terms])
+    letters = np.stack([MeasurementBasis(basis).codes for basis, _ in shots])
+    outcomes = np.array([outcome for _, outcome in shots], dtype=np.int64)
+    sums, counts = _fold(codes, letters, outcomes)
+    return sums.tolist(), counts.tolist()
 
 
 class TestAccumulator:
-    # Outcome indices put qubit 0 in the most significant bit; a set bit
-    # is the readout -1.
+    # The per-term fold. Outcome indices put qubit 0 in the most
+    # significant bit; a set bit is the readout -1.
 
     def test_first_sample(self):
-        acc = Accumulator([PauliOp("Z")])
-        assert acc.update(MeasurementBasis("Z"), [0]) is acc
-        assert acc[PauliOp("Z")] == (1.0, 1)
+        assert fold(["Z"], [("Z", 0)]) == ([1], [1])
 
     def test_mean_of_two(self):
-        acc = Accumulator([PauliOp("Z")])
-        acc.update(MeasurementBasis("Z"), [0])
-        acc.update(MeasurementBasis("Z"), [1])
-        assert acc[PauliOp("Z")] == (0.0, 2)
+        assert fold(["Z"], [("Z", 0), ("Z", 1)]) == ([0], [2])
 
     def test_uncovered_key_is_untouched(self):
-        acc = Accumulator([PauliOp("XZ")])
-        acc.update(MeasurementBasis("XZ"), [0, 0, 0, 1])
-        assert acc[PauliOp("XZ")] == (0.5, 4)
-        acc.update(MeasurementBasis("XY"), [1])
-        assert acc[PauliOp("XZ")] == (0.5, 4)
+        shots = [("XZ", 0), ("XZ", 0), ("XZ", 0), ("XZ", 1)]
+        assert fold(["XZ"], shots) == ([2], [4])
+        assert fold(["XZ"], shots + [("XY", 1)]) == ([2], [4])
 
     def test_identity_key_gets_plus_one(self):
-        acc = Accumulator([PauliOp("II")])
-        acc.update(MeasurementBasis("XY"), [3])
-        assert acc[PauliOp("II")] == (1.0, 1)
+        assert fold(["II"], [("XY", 3)]) == ([1], [1])
 
     def test_product_over_covered_positions(self):
-        acc = Accumulator([PauliOp("XIZ")])
-        acc.update(MeasurementBasis("XYZ"), [0b110])
-        assert acc[PauliOp("XIZ")] == (-1.0, 1)  # middle qubit excluded
+        assert fold(["XIZ"], [("XYZ", 0b110)]) == ([-1], [1])  # middle qubit excluded
 
     def test_uncovered_listing(self):
-        acc = Accumulator([PauliOp("X"), PauliOp("Z")])
-        acc.update(MeasurementBasis("Z"), [0])
-        assert acc.uncovered() == [PauliOp("X")]
-
-    def test_rejects_out_of_range_outcomes(self):
-        acc = Accumulator([PauliOp("ZZ")])
-        for bad in ([4], [-1], [[0]]):
-            with pytest.raises(ValueError):
-                acc.update(MeasurementBasis("ZZ"), bad)
-        assert acc[PauliOp("ZZ")] == (0.0, 0)
-
+        assert fold(["X", "Z"], [("Z", 0)]) == ([0, 1], [0, 1])
 
 class TestEstimateEnergy:
     def test_deterministic_z_term(self):
@@ -144,17 +129,15 @@ class TestEstimateEnergy:
                 for _ in range(2)
             ]
             assert runs[0].energy == runs[1].energy
-            np.testing.assert_array_equal(runs[0].per_term.means, runs[1].per_term.means)
-            np.testing.assert_array_equal(runs[0].per_term.counts, runs[1].per_term.counts)
+            np.testing.assert_array_equal(runs[0].sums, runs[1].sums)
+            np.testing.assert_array_equal(runs[0].counts, runs[1].counts)
 
     def test_energy_identity_over_accumulator(self):
         h = parse_hamiltonian("0.7 XI\n0.5 ZZ\n0.3 IY\n0.2 II")
         _, state = ground_state(h)
         rng = np.random.default_rng(4)
         result = estimate_energy(h, state, 300, ProductBasisSampler(uniform_distribution(2)), rng)
-        recomputed = h.offset + sum(
-            alpha * result.per_term[pauli][0] for alpha, pauli in h.terms
-        )
+        recomputed = h.offset + sum(alpha * mean for (alpha, _), mean in zip(h.terms, result.means))
         assert result.energy == pytest.approx(recomputed, abs=1e-14)
 
     def test_convergence_at_large_shots(self):
@@ -175,18 +158,20 @@ class TestEstimateEnergy:
             estimate_energy(h, state, 0, ProductBasisSampler(uniform_distribution(1)), np.random.default_rng(0))
         with pytest.raises(ValueError):
             estimate_energy(h, StateVector.zero_state(2), 5, ProductBasisSampler(uniform_distribution(1)), np.random.default_rng(0))
+        # A sampler whose bases are narrower or wider than the Hamiltonian.
+        zz = parse_hamiltonian("1.0 ZZ")
+        for width in (1, 3):
+            with pytest.raises(ValueError):
+                estimate_energy(zz, StateVector.zero_state(2), 5, ProductBasisSampler(z_pd(width)), np.random.default_rng(0))
 
-    def test_result_serialization(self):
-        h = parse_hamiltonian("1.0 Z")
-        result = estimate_energy(
-            h, StateVector.zero_state(1), 3,
-            ProductBasisSampler(z_pd(1)), np.random.default_rng(0),
-        )
-        payload = result.to_json_dict()
-        assert payload["energy"] == 1.0
-        assert payload["shots"] == 3
-        assert payload["terms"] == [{"pauli": "Z", "mu": 1.0, "s": 3}]
-        assert payload["uncovered"] == []
+        class IdentityLetterSampler:  # letter code 0 is I, which is no basis
+            uniforms = 1
+
+            def bases(self, u):
+                return np.zeros((len(u), 1), dtype=np.uint8)
+
+        with pytest.raises(ValueError):
+            estimate_energy(h, state, 5, IdentityLetterSampler(), np.random.default_rng(0))
 
 
 class TestReferenceEquivalence:
@@ -210,9 +195,23 @@ class TestReferenceEquivalence:
             "aps": lambda: AdaptiveBasisSampler(h),
         }
         result = estimate_energy(h, state, shots, samplers[method](), np.random.default_rng(seed))
-        energy, counts = reference_estimate(h, state, shots, samplers[method](), np.random.default_rng(seed))
+        energy, sums, counts = reference_estimate(h, state, shots, samplers[method](), np.random.default_rng(seed))
         assert abs(result.energy - energy) <= 1e-12
-        assert result.per_term.counts.tolist() == counts
+        assert result.sums.tolist() == sums
+        assert result.counts.tolist() == counts
+
+    def test_fold_slices_match_per_shot_loop(self):
+        # 1500 shots of 40 terms take several slices of the fold.
+        rng = np.random.default_rng(10)
+        h = random_hamiltonian(rng, 4, 40)
+        state = StateVector(random_state_amplitudes(rng, 4))
+        result = estimate_energy(h, state, 1500, ProductBasisSampler(uniform_distribution(4)), np.random.default_rng(11))
+        energy, sums, counts = reference_estimate(
+            h, state, 1500, ProductBasisSampler(uniform_distribution(4)), np.random.default_rng(11)
+        )
+        assert abs(result.energy - energy) <= 1e-12
+        assert result.sums.tolist() == sums
+        assert result.counts.tolist() == counts
 
 
 class TestConditionalMeans:
@@ -222,12 +221,11 @@ class TestConditionalMeans:
         rng = np.random.default_rng(6)
         for n in (1, 2):
             state = StateVector(random_state_amplitudes(rng, n))
-            table = rng.dirichlet((1.5, 1.5, 1.5), size=n)
-            pd = ProductDistribution([BasisDistribution(tuple(row)) for row in table])
+            pd = rng.dirichlet((1.5, 1.5, 1.5), size=n)
             for word_codes in np.ndindex(*(4,) * n):
                 word = "".join("IXYZ"[c] for c in word_codes)
                 pauli = PauliOp(word)
-                cover_prob = pd.coverage_probability(pauli)
+                cover_prob = coverage_probability(pd, pauli)
                 if cover_prob <= 0.0:
                     continue
                 weighted = 0.0
@@ -237,7 +235,7 @@ class TestConditionalMeans:
                         continue
                     basis_prob = 1.0
                     for q in range(n):
-                        basis_prob *= pd[q].probs[basis.codes[q] - 1]
+                        basis_prob *= pd[q][basis.codes[q] - 1]
                     probs = measurement_distribution(state, basis)
                     inner = sum(p * product_of_sigmas(i, n, pauli) for i, p in enumerate(probs))
                     weighted += basis_prob * inner
@@ -254,8 +252,7 @@ class TestConditionalMeans:
         shots = 100_000
         rng = np.random.default_rng(7)
         result = estimate_energy(h, state, shots, AdaptiveBasisSampler(h), rng)
-        for _, pauli in h.terms:
-            mu, s = result.per_term[pauli]
+        for (_, pauli), mu, s in zip(h.terms, result.means, result.counts):
             assert s > 100
             exact = expectation(state, pauli)
             spread = math.sqrt(max(1.0 - exact * exact, 1e-12) / s)
@@ -291,7 +288,7 @@ class TestExactVariance:
 
         rng = np.random.default_rng(8)
         bases = all_bases(1)
-        coverages = {str(p): pd.coverage_probability(p) for p in h.paulis}
+        coverages = {str(p): coverage_probability(pd, p) for p in h.paulis}
         estimate_table = np.zeros((3, 2))
         prob_table = np.zeros((3, 2))
         for b_index, basis in enumerate(bases):
@@ -328,8 +325,7 @@ class TestExactVariance:
             table = rng.dirichlet((2.0, 2.0, 2.0), size=2)
             table = np.maximum(table, 0.05)
             table /= table.sum(axis=1, keepdims=True)
-            pd = ProductDistribution([BasisDistribution(tuple(row)) for row in table])
-            value = exact_single_shot_variance(h, state, pd)
+            value = exact_single_shot_variance(h, state, table)
             assert value >= 0.0 and math.isfinite(value)
 
     def test_offset_shifts_mean_not_variance(self):

@@ -11,11 +11,10 @@ from pauli_shadows import (
     HamiltonianFormatError,
     MeasurementBasis,
     PauliOp,
-    covers,
     load_hamiltonian,
     parse_hamiltonian,
-    serialize_hamiltonian,
 )
+from pauli_shadows.paulis import covers, serialize_hamiltonian
 
 from helpers import all_bases, coverage_count, covers_reference
 

@@ -11,23 +11,16 @@ from hypothesis import strategies as st
 
 from pauli_shadows import (
     AdaptiveBasisSampler,
-    BasisDistribution,
-    CostTriple,
-    Hamiltonian,
     MeasurementBasis,
-    PartialAssignment,
-    PauliOp,
     ProductBasisSampler,
-    ProductDistribution,
     closed_form_distribution,
-    covers,
     diagonal_cost,
     locally_biased_distribution,
     parse_hamiltonian,
-    stage_costs,
     uniform_distribution,
 )
-from pauli_shadows.sampling import _lbcs_sweeps
+from pauli_shadows.paulis import covers
+from pauli_shadows.sampling import _lbcs_sweeps, product_distribution
 
 from helpers import (
     coverage_count,
@@ -51,20 +44,21 @@ def objective(costs, probs):
 
 class TestClosedFormDistribution:
     def test_all_zero_masses_give_uniform(self):
-        assert closed_form_distribution(CostTriple(0, 0, 0)).probs == (1 / 3, 1 / 3, 1 / 3)
+        assert closed_form_distribution((0, 0, 0)).tolist() == [1 / 3, 1 / 3, 1 / 3]
 
     def test_symmetric_masses_give_uniform(self):
-        dist = closed_form_distribution(CostTriple(1, 1, 1))
-        assert dist.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert closed_form_distribution((1, 1, 1)) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_four_one_zero(self):
-        dist = closed_form_distribution(CostTriple(4, 1, 0))
-        assert dist.probs == pytest.approx((2 / 3, 1 / 3, 0.0))
-        assert dist.probs[2] == 0.0
+        dist = closed_form_distribution((4, 1, 0))
+        assert dist == pytest.approx((2 / 3, 1 / 3, 0.0))
+        assert dist[2] == 0.0
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             closed_form_distribution((-1.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            closed_form_distribution((1.0, 0.0))
 
     def test_beats_grid_search(self):
         grid = simplex_grid(1000)
@@ -73,30 +67,70 @@ class TestClosedFormDistribution:
             costs = rng.uniform(0.0, 10.0, size=3)
             costs[rng.random(3) < 0.2] = 0.0
             dist = closed_form_distribution(costs)
-            assert objective(costs, dist.probs) <= grid_objective_minimum(costs, grid) + 1e-6
+            assert objective(costs, dist) <= grid_objective_minimum(costs, grid) + 1e-6
+
+    def test_batch_equals_rows_one_by_one(self):
+        rng = np.random.default_rng(30)
+        costs = rng.uniform(0.0, 10.0, size=(50, 3))
+        costs[rng.random((50, 3)) < 0.3] = 0.0
+        costs[7] = 0.0
+        batch = closed_form_distribution(costs)
+        assert batch.shape == (50, 3)
+        for row, dist in zip(costs, batch):
+            assert dist.tolist() == closed_form_distribution(row).tolist()
 
     @given(st.tuples(*[st.floats(min_value=0.0, max_value=100.0)] * 3))
     def test_always_a_valid_distribution(self, costs):
         dist = closed_form_distribution(costs)
-        assert all(0.0 <= p <= 1.0 for p in dist.probs)
-        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= p <= 1.0 for p in dist)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDistributionTypes:
     def test_basis_distribution_validation(self):
         with pytest.raises(ValueError):
-            BasisDistribution((0.5, 0.5, 0.5))
+            product_distribution([[0.5, 0.5, 0.5]])  # a row sums to 1.5
         with pytest.raises(ValueError):
-            BasisDistribution((-0.1, 0.6, 0.5))
+            product_distribution([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 2e-12]])  # off by 2e-12
         with pytest.raises(ValueError):
-            BasisDistribution((1.0, 0.0))
+            product_distribution([[-0.1, 0.6, 0.5]])
+        with pytest.raises(ValueError):
+            product_distribution([[1.0, 0.0]])  # not three letters
+        with pytest.raises(ValueError):
+            product_distribution([1.0, 0.0, 0.0])  # not a table
 
     def test_product_distribution(self):
-        pd = ProductDistribution([BasisDistribution((1.0, 0.0, 0.0))] * 2)
-        assert pd.n == 2
-        assert pd.coverage_probability(PauliOp("XI")) == 1.0
-        assert pd.coverage_probability(PauliOp("ZI")) == 0.0
-        np.testing.assert_allclose(pd.as_array(), [[1, 0, 0], [1, 0, 0]])
+        table = [[1.0, 0.0, 0.0], [0.25, 0.25, 0.5 + 1e-13]]
+        probs = product_distribution(table)
+        assert probs.dtype == np.float64 and probs.shape == (2, 3)
+        np.testing.assert_array_equal(probs, table)
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            product_distribution(np.zeros((0, 3)))  # n = 0
+        with pytest.raises(ValueError):
+            uniform_distribution(0)
+
+
+def adaptive_stage_distribution(sampler, ordering, prefix_draws, grid=20_000):
+    """The letter probabilities APS uses at stage ``len(prefix_draws)`` for a fixed qubit order.
+
+    Runs the real sampler on ``grid`` rows that share the order (as
+    ``argsort`` ranks) and the earlier stages' letter draws, with the
+    stage's own draw spread over the midpoints of [0, 1). Returns the
+    letters the prefix draws chose and the fraction of rows that drew X,
+    Y and Z at the stage, which is exact to 1 / grid.
+    """
+    n = len(ordering)
+    stage = len(prefix_draws)
+    u = np.full((grid, 2 * n), 0.5)
+    u[:, list(ordering)] = np.arange(n) / n
+    u[:, n : n + stage] = prefix_draws
+    u[:, n + stage] = (np.arange(grid) + 0.5) / grid
+    codes = sampler.bases(u)
+    chosen = codes[0, list(ordering[:stage])].tolist()
+    assert (codes[:, list(ordering[:stage])] == chosen).all()
+    letters = codes[:, ordering[stage]]
+    return chosen, tuple(float(np.mean(letters == code)) for code in (1, 2, 3))
 
 
 def brute_force_stage_costs(hamiltonian, ordering, assigned_letters, stage):
@@ -118,30 +152,23 @@ def brute_force_stage_costs(hamiltonian, ordering, assigned_letters, stage):
 
 
 class TestStageCosts:
+    # The stage distributions of the adaptive sampler itself, read off by
+    # fixing its qubit order and earlier draws.
     H = parse_hamiltonian("1.0 XX\n0.5 ZI")
 
     def test_first_stage(self):
-        pa = PartialAssignment(ordering=(0, 1), assigned=())
-        assert stage_costs(self.H, pa, 0) == CostTriple(1.0, 0.0, 0.25)
+        _, probs = adaptive_stage_distribution(AdaptiveBasisSampler(self.H), (0, 1), [])
+        assert probs == pytest.approx((2 / 3, 0.0, 1 / 3), abs=1e-4)  # masses (1, 0, 0.25)
 
     def test_second_stage_after_x(self):
-        pa = PartialAssignment(ordering=(0, 1), assigned=(1,))
-        assert stage_costs(self.H, pa, 1) == CostTriple(1.0, 0.0, 0.0)
+        chosen, probs = adaptive_stage_distribution(AdaptiveBasisSampler(self.H), (0, 1), [0.1])
+        assert chosen == [1]
+        assert probs == (1.0, 0.0, 0.0)  # masses (1, 0, 0)
 
     def test_second_stage_after_z(self):
-        pa = PartialAssignment(ordering=(0, 1), assigned=(3,))
-        assert stage_costs(self.H, pa, 1) == CostTriple(0.0, 0.0, 0.0)
-
-    def test_requires_prefix(self):
-        pa = PartialAssignment(ordering=(0, 1), assigned=())
-        with pytest.raises(ValueError):
-            stage_costs(self.H, pa, 1)
-
-    def test_partial_assignment_validation(self):
-        with pytest.raises(ValueError):
-            PartialAssignment(ordering=(0, 0), assigned=())
-        with pytest.raises(ValueError):
-            PartialAssignment(ordering=(0, 1), assigned=(0,))
+        chosen, probs = adaptive_stage_distribution(AdaptiveBasisSampler(self.H), (0, 1), [0.9])
+        assert chosen == [3]
+        assert probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-4)  # masses (0, 0, 0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(32)
@@ -151,29 +178,26 @@ class TestStageCosts:
             h = random_hamiltonian(rng, n, int(rng.integers(2, 7)))
             ordering = tuple(int(q) for q in rng.permutation(n))
             stage = int(rng.integers(0, n))
-            assigned = tuple(int(rng.integers(1, 4)) for _ in range(stage))
-            pa = PartialAssignment(ordering=ordering, assigned=assigned)
-            expected = brute_force_stage_costs(
-                h, ordering, [letters[c] for c in assigned], stage
+            chosen, probs = adaptive_stage_distribution(
+                AdaptiveBasisSampler(h), ordering, rng.random(stage).tolist(), grid=5000
             )
-            assert stage_costs(h, pa, stage) == pytest.approx(expected)
+            expected = closed_form_distribution(
+                brute_force_stage_costs(h, ordering, [letters[c] for c in chosen], stage)
+            )
+            assert probs == pytest.approx(expected.tolist(), abs=1e-3)
 
     def test_composes_to_conditional_example(self):
         # Stage distributions for the two-term Hamiltonian, given the
         # identity ordering: qubit 0 is (2/3, 0, 1/3); qubit 1 is X surely
-        # after X, uniform after Z.
-        pa0 = PartialAssignment(ordering=(0, 1), assigned=())
-        assert closed_form_distribution(stage_costs(self.H, pa0, 0)).probs == pytest.approx(
-            (2 / 3, 0.0, 1 / 3)
-        )
-        after_x = PartialAssignment(ordering=(0, 1), assigned=(1,))
-        assert closed_form_distribution(stage_costs(self.H, after_x, 1)).probs == pytest.approx(
-            (1.0, 0.0, 0.0)
-        )
-        after_z = PartialAssignment(ordering=(0, 1), assigned=(3,))
-        assert closed_form_distribution(stage_costs(self.H, after_z, 1)).probs == pytest.approx(
-            (1 / 3, 1 / 3, 1 / 3)
-        )
+        # after X, uniform after Z. Their products are the word probabilities.
+        exact = exact_adaptive_distribution(self.H, ordering=(0, 1))
+        assert exact == pytest.approx({"XX": 2 / 3, "ZX": 1 / 9, "ZY": 1 / 9, "ZZ": 1 / 9})
+        sampler = AdaptiveBasisSampler(self.H)
+        _, first = adaptive_stage_distribution(sampler, (0, 1), [])
+        for word, p in exact.items():
+            draw = 0.1 if word[0] == "X" else 0.9
+            _, second = adaptive_stage_distribution(sampler, (0, 1), [draw])
+            assert first["XYZ".index(word[0])] * second["XYZ".index(word[1])] == pytest.approx(p, abs=1e-4)
 
 
 class TestAdaptiveChoice:
@@ -220,7 +244,7 @@ class TestAdaptiveChoice:
         for ordering in itertools.permutations(range(3)):
             dist = exact_adaptive_distribution(h, ordering=ordering)
             for qubit in range(3):
-                expected = closed_form_distribution(per_qubit_masses[qubit]).probs
+                expected = closed_form_distribution(per_qubit_masses[qubit])
                 for index, letter in enumerate("XYZ"):
                     marginal = sum(p for w, p in dist.items() if w[qubit] == letter)
                     assert marginal == pytest.approx(expected[index], abs=1e-12)
@@ -255,10 +279,10 @@ class TestAdaptiveChoice:
 
 class TestUniformAndProductSampling:
     def test_uniform_distribution_shapes(self):
-        assert uniform_distribution(1)[0].probs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert uniform_distribution(1)[0] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
         pd = uniform_distribution(3)
-        assert pd.n == 3
-        assert all(d.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3)) for d in pd)
+        assert pd.shape == (3, 3)
+        assert all(d == pytest.approx((1 / 3, 1 / 3, 1 / 3)) for d in pd)
 
     def test_uniform_sampling_hits_all_bases(self):
         sampler = ProductBasisSampler(uniform_distribution(2))
@@ -271,12 +295,10 @@ class TestUniformAndProductSampling:
             assert abs(counts["".join(word)] - expected) <= 4 * se
 
     def test_deterministic_product_distributions(self):
-        all_z = ProductDistribution([BasisDistribution((0.0, 0.0, 1.0))] * 3)
+        all_z = [[0.0, 0.0, 1.0]] * 3
         rng = np.random.default_rng(40)
         assert str(ProductBasisSampler(all_z).sample(rng)) == "ZZZ"
-        xz = ProductDistribution(
-            [BasisDistribution((1.0, 0.0, 0.0)), BasisDistribution((0.0, 0.0, 1.0))]
-        )
+        xz = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
         assert str(ProductBasisSampler(xz).sample(rng)) == "XZ"
 
     def test_single_qubit_uniform_frequencies(self):
@@ -289,7 +311,7 @@ class TestUniformAndProductSampling:
             assert abs(counts[letter] - draws / 3) <= 4 * se
 
     def test_zero_probability_letter_never_sampled(self):
-        pd = ProductDistribution([BasisDistribution((0.5, 0.5, 0.0))])
+        pd = [[0.5, 0.5, 0.0]]
         sampler = ProductBasisSampler(pd)
         rng = np.random.default_rng(42)
         assert all(str(sampler.sample(rng)) != "Z" for _ in range(20000))
@@ -314,7 +336,7 @@ class TestDiagonalCost:
 
     def test_zero_coverage_is_infinite(self):
         h = parse_hamiltonian("1.0 XI")
-        all_z = ProductDistribution([BasisDistribution((0.0, 0.0, 1.0))] * 2)
+        all_z = [[0.0, 0.0, 1.0]] * 2
         assert diagonal_cost(h, all_z) == math.inf
 
     def test_offset_does_not_contribute(self):
@@ -325,11 +347,11 @@ class TestDiagonalCost:
 class TestLocallyBiasedDistribution:
     def test_single_letter_mass(self):
         pd = locally_biased_distribution(parse_hamiltonian("1.0 Z"))
-        assert pd[0].probs == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+        assert pd[0] == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
     def test_symmetric_two_letters(self):
         pd = locally_biased_distribution(parse_hamiltonian("1.0 X\n1.0 Z"))
-        assert pd[0].probs == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
+        assert pd[0] == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
 
     def test_two_qubit_grid_search_oracle(self):
         # Dense search over both per-qubit simplices with step 0.01:
@@ -368,7 +390,7 @@ class TestLocallyBiasedDistribution:
 
     def test_identity_only_hamiltonian(self):
         pd = locally_biased_distribution(parse_hamiltonian("1.0 II"))
-        assert pd == uniform_distribution(2)
+        np.testing.assert_array_equal(pd, uniform_distribution(2))
 
 
 class TestSamplerDeterminism:

@@ -15,20 +15,18 @@ from pauli_shadows import (
     PauliOp,
     ProductBasisSampler,
     StateVector,
-    apply_pauli,
     estimate_energy,
     expectation,
     ground_state,
     hamiltonian_expectation,
     load_hamiltonian,
-    load_state,
     measurement_distribution,
     parse_hamiltonian,
     sample_measurement,
-    sigmas_from_index,
     uniform_distribution,
 )
 from pauli_shadows import states
+from pauli_shadows.states import apply_pauli, load_state, sigmas_from_index
 
 from helpers import (
     BELL_AMPLITUDES,
