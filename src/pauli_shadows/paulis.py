@@ -56,29 +56,56 @@ def _as_codes(letters, allowed_min: int) -> np.ndarray:
     return codes
 
 
-class PauliOp:
-    """An n-qubit Pauli string over {I, X, Y, Z}, qubit 0 first.
+class _Letters:
+    """An immutable string of per-qubit letter codes, qubit 0 first.
 
-    Immutable and hashable, so strings can key dictionaries; hashing and
-    equality cost O(n).
+    Hashable, so strings can key dictionaries; hashing and equality cost
+    O(n), and only instances of the same class compare equal.
+    """
+
+    __slots__ = ("codes",)
+    _allowed_min = CODE_I
+
+    def __init__(self, letters: str | Sequence[int] | np.ndarray):
+        if isinstance(letters, type(self)):
+            self.codes = letters.codes
+        else:
+            self.codes = _as_codes(letters, allowed_min=self._allowed_min)
+
+    @property
+    def n(self) -> int:
+        return self.codes.size
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.codes, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.codes.tobytes()))
+
+    def __str__(self) -> str:
+        return "".join(LETTERS[c] for c in self.codes)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __reduce__(self):
+        return (type(self), (str(self),))
+
+
+class PauliOp(_Letters):
+    """An n-qubit Pauli string over {I, X, Y, Z}, qubit 0 first.
 
     >>> p = PauliOp("XIZ")
     >>> p.weight()
     2
     """
 
-    __slots__ = ("codes", "_hash")
-
-    def __init__(self, letters: str | Sequence[int] | np.ndarray):
-        if isinstance(letters, PauliOp):
-            self.codes = letters.codes
-        else:
-            self.codes = _as_codes(letters, allowed_min=CODE_I)
-        self._hash = None
-
-    @property
-    def n(self) -> int:
-        return self.codes.size
+    __slots__ = ()
 
     def weight(self) -> int:
         """Number of non-identity letters."""
@@ -87,65 +114,12 @@ class PauliOp:
     def is_identity(self) -> bool:
         return not self.codes.any()
 
-    def __len__(self) -> int:
-        return self.codes.size
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliOp):
-            return NotImplemented
-        return np.array_equal(self.codes, other.codes)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.codes.tobytes())
-        return self._hash
-
-    def __str__(self) -> str:
-        return "".join(LETTERS[c] for c in self.codes)
-
-    def __repr__(self) -> str:
-        return f"PauliOp({str(self)!r})"
-
-    def __reduce__(self):
-        # Rebuild from the letter string so cached hashes never cross
-        # process boundaries (str hashing is per-process).
-        return (self.__class__, (str(self),))
-
-
-class MeasurementBasis:
+class MeasurementBasis(_Letters):
     """A product measurement setting: one letter from {X, Y, Z} per qubit."""
 
-    __slots__ = ("codes",)
-
-    def __init__(self, letters: str | Sequence[int] | np.ndarray):
-        if isinstance(letters, MeasurementBasis):
-            self.codes = letters.codes
-        else:
-            self.codes = _as_codes(letters, allowed_min=CODE_X)
-
-    @property
-    def n(self) -> int:
-        return self.codes.size
-
-    def __len__(self) -> int:
-        return self.codes.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MeasurementBasis):
-            return NotImplemented
-        return np.array_equal(self.codes, other.codes)
-
-    def __hash__(self) -> int:
-        return hash((MeasurementBasis, self.codes.tobytes()))
-
-    def __str__(self) -> str:
-        return "".join(LETTERS[c] for c in self.codes)
-
-    def __repr__(self) -> str:
-        return f"MeasurementBasis({str(self)!r})"
-
-    def __reduce__(self):
-        return (self.__class__, (str(self),))
+    __slots__ = ()
+    _allowed_min = CODE_X
 
 
 def covers(basis: MeasurementBasis, pauli: PauliOp) -> bool:

@@ -1,9 +1,14 @@
 """Dense pure-state simulation.
 
-Provides Pauli expectations, sampling of product-basis measurement
-outcomes, exact outcome distributions for small systems, and a
-matrix-free Lanczos ground-state solver. Amplitude index convention:
-qubit 0 is the most significant bit of the basis-state index.
+``_compile`` turns rows of Pauli letter codes with coefficients into
+flip groups and ``_apply_compiled`` applies them: one string for
+``apply_pauli`` and ``expectation``, the whole Hamiltonian for
+``hamiltonian_expectation`` and the matrix-free Lanczos solver
+``ground_state``. The generator ``measurement_distributions`` builds
+every product-basis outcome table; ``measurement_distribution`` and
+``sample_measurement`` (±1 int8 readouts) are its one-row case.
+Amplitude index convention: qubit 0 is the most significant bit of the
+basis-state index.
 """
 
 from __future__ import annotations
@@ -61,36 +66,6 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
-class ShotOutcome:
-    """Per-qubit ±1 eigenvalue readouts from one product-basis measurement."""
-
-    __slots__ = ("sigmas",)
-
-    def __init__(self, sigmas):
-        arr = np.asarray(sigmas, dtype=np.int8)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("sigmas must be a non-empty vector")
-        if (np.abs(arr) != 1).any():
-            raise ValueError("each sigma must be +1 or -1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.sigmas = arr
-
-    def __len__(self) -> int:
-        return self.sigmas.size
-
-    def __iter__(self):
-        return iter(int(s) for s in self.sigmas)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShotOutcome):
-            return NotImplemented
-        return np.array_equal(self.sigmas, other.sigmas)
-
-    def __repr__(self) -> str:
-        return f"ShotOutcome({tuple(int(s) for s in self.sigmas)})"
-
-
 _SIGMAS = np.array([1, -1], dtype=np.int8)
 
 
@@ -104,71 +79,25 @@ def _check_lengths(state: StateVector, op) -> None:
         raise ValueError(f"length mismatch: state has {state.n} qubits, operator has {op.n}")
 
 
-def _pauli_masks(codes: np.ndarray) -> tuple[int, int, int]:
-    """Bit masks (flip, sign, y_count) for applying a Pauli string by index arithmetic."""
-    n = codes.size
-    flip = 0
-    sign = 0
-    y_count = 0
-    for qubit, code in enumerate(codes):
-        bit = 1 << (n - 1 - qubit)
-        if code == CODE_X:
-            flip |= bit
-        elif code == CODE_Y:
-            flip |= bit
-            sign |= bit
-            y_count += 1
-        elif code == CODE_Z:
-            sign |= bit
-    return flip, sign, y_count
-
-
-def _apply_pauli_raw(amplitudes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string to a raw amplitude vector (no normalization checks)."""
-    flip, sign, y_count = _pauli_masks(codes)
-    dim = amplitudes.size
-    indices = np.arange(dim)
-    parity = np.bitwise_count(indices & sign) & 1
-    phases = (1.0 - 2.0 * parity) * (1j ** (y_count % 4))
-    out = np.empty_like(amplitudes)
-    out[indices ^ flip] = amplitudes * phases
-    return out
-
-
-def apply_pauli(state: StateVector, pauli: PauliOp) -> StateVector:
-    """Return P|psi> with the standard phases (Y|0> = i|1>, Y|1> = -i|0>)."""
-    _check_lengths(state, pauli)
-    return StateVector(_apply_pauli_raw(state.amplitudes, pauli.codes))
-
-
-def expectation(state: StateVector, pauli: PauliOp) -> float:
-    """Exact <psi|P|psi>; always real and in [-1, 1] for a normalized state."""
-    _check_lengths(state, pauli)
-    value = np.vdot(state.amplitudes, _apply_pauli_raw(state.amplitudes, pauli.codes))
-    if abs(value.imag) > NORM_TOL:
-        raise ArithmeticError(f"expectation has non-real part {value.imag}")
-    return float(min(1.0, max(-1.0, value.real)))
-
-
 # Y|b> = i(-1)^b |1-b> = -i(-1)^(1-b) |1-b>: read on the output index, each Y
-# is a Z sign times -i, so a term with y Y letters carries (-i)^y.
+# is a Z sign times -i, so a string with y Y letters carries (-i)^y.
 _Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _compile_hamiltonian(hamiltonian: Hamiltonian) -> list[tuple[tuple[slice, ...], np.ndarray]]:
-    """Group H's terms by flip (X/Y) mask f, so that ``(H v)[k] = sum_g d_g[k] v[k ^ f_g]``.
+def _compile(codes: np.ndarray, coeffs: np.ndarray) -> list[tuple[tuple[slice, ...], np.ndarray]]:
+    """Compile ``O = sum_j coeffs[j] P_j`` over rows of letter codes (I allowed) into flip groups.
 
+    Rows are grouped by flip (X/Y) mask f, so that ``(O v)[k] = sum_g d_g[k] v[k ^ f_g]``.
     Each group is (flip, d): ``flip`` indexes the (2,)*n view of v so
     that it reverses the flipped qubits' axes, which reads v[k ^ f]. d
-    depends only on the qubits where some term of the group has a Y or
+    depends only on the qubits where some row of the group has a Y or
     Z, so it is stored over those alone, with size-1 axes elsewhere, as
     the Walsh-Hadamard transform of the group's coefficients placed at
-    their sign masks. The offset is not included.
+    their sign masks. One string gives one group of ±1 or ±i entries.
     """
-    codes = hamiltonian.codes
     flips = (codes == CODE_X) | (codes == CODE_Y)
     signs = (codes == CODE_Y) | (codes == CODE_Z)
-    coeffs = hamiltonian.coeffs * _Y_PHASES[np.count_nonzero(codes == CODE_Y, axis=1) % 4]
+    coeffs = coeffs * _Y_PHASES[np.count_nonzero(codes == CODE_Y, axis=1) % 4]
     rows_of: dict[bytes, list[int]] = {}
     for row, flip in enumerate(flips):
         rows_of.setdefault(flip.tobytes(), []).append(row)
@@ -188,7 +117,7 @@ def _compile_hamiltonian(hamiltonian: Hamiltonian) -> list[tuple[tuple[slice, ..
 
 
 def _apply_compiled(amplitudes: np.ndarray, groups: list[tuple[tuple[slice, ...], np.ndarray]]) -> np.ndarray:
-    """H v for a Hamiltonian compiled by ``_compile_hamiltonian``, excluding the offset."""
+    """O v for an operator compiled by ``_compile``."""
     psi = amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1))
     out = np.zeros_like(psi)
     for flip_index, diag in groups:
@@ -196,16 +125,26 @@ def _apply_compiled(amplitudes: np.ndarray, groups: list[tuple[tuple[slice, ...]
     return out.reshape(-1)
 
 
-def _apply_hamiltonian_raw(amplitudes: np.ndarray, hamiltonian: Hamiltonian) -> np.ndarray:
-    """H v excluding the offset, compiled for this one application."""
-    return _apply_compiled(amplitudes, _compile_hamiltonian(hamiltonian))
+def apply_pauli(state: StateVector, pauli: PauliOp) -> StateVector:
+    """Return P|psi> with the standard phases (Y|0> = i|1>, Y|1> = -i|0>)."""
+    _check_lengths(state, pauli)
+    return StateVector(_apply_compiled(state.amplitudes, _compile(pauli.codes[None], np.ones(1))))
+
+
+def expectation(state: StateVector, pauli: PauliOp) -> float:
+    """Exact <psi|P|psi>; always real and in [-1, 1] for a normalized state."""
+    value = np.vdot(state.amplitudes, apply_pauli(state, pauli).amplitudes)
+    if abs(value.imag) > NORM_TOL:
+        raise ArithmeticError(f"expectation has non-real part {value.imag}")
+    return float(min(1.0, max(-1.0, value.real)))
 
 
 def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> float:
     """Exact energy <psi|H|psi>, including the constant offset."""
     if state.n != hamiltonian.n:
         raise ValueError("state and Hamiltonian qubit counts differ")
-    value = np.vdot(state.amplitudes, _apply_hamiltonian_raw(state.amplitudes, hamiltonian))
+    groups = _compile(hamiltonian.codes, hamiltonian.coeffs)
+    value = np.vdot(state.amplitudes, _apply_compiled(state.amplitudes, groups))
     return float(value.real) + hamiltonian.offset
 
 
@@ -239,6 +178,8 @@ def measurement_distributions(state: StateVector, rows: np.ndarray, cumulative: 
     lexicographic order share their rotated prefixes.
     """
     n = state.n
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"rows must have shape (k, {n}) for a {n}-qubit state, got {rows.shape}")
     if n > MAX_TABLE_QUBITS:
         raise CapacityError(f"outcome table needs 2^{n} entries; limit is 2^{MAX_TABLE_QUBITS}")
     stack = [state.amplitudes]
@@ -266,24 +207,17 @@ def measurement_distribution(state: StateVector, basis: MeasurementBasis) -> np.
     qubit 0 as the most significant bit). Entries sum to 1 within 1e-10.
     The one-row case of ``measurement_distributions``.
     """
-    _check_lengths(state, basis)
     return next(measurement_distributions(state, basis.codes[None]))
 
 
-def measurement_cumulative(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
-    """Normalized cumulative outcome distribution used for inverse-CDF sampling."""
-    _check_lengths(state, basis)
-    return next(measurement_distributions(state, basis.codes[None], cumulative=True))
-
-
-def sample_measurement(state: StateVector, basis: MeasurementBasis, rng: np.random.Generator) -> ShotOutcome:
-    """Measure every qubit of ``state`` in ``basis``, returning ±1 readouts.
+def sample_measurement(state: StateVector, basis: MeasurementBasis, rng: np.random.Generator) -> np.ndarray:
+    """Measure every qubit of ``state`` in ``basis``: one inverse-CDF draw, as ``sigmas_from_index`` readouts.
 
     The state is re-prepared for every call, so sampling is a pure
     function of (state, basis, rng stream).
     """
-    index = int(np.searchsorted(measurement_cumulative(state, basis), rng.random(), side="right"))
-    return ShotOutcome(sigmas_from_index(index, state.n))
+    cumulative = next(measurement_distributions(state, basis.codes[None], cumulative=True))
+    return sigmas_from_index(int(np.searchsorted(cumulative, rng.random(), side="right")), state.n)
 
 
 _LANCZOS_SEED = 0x1A2C05
@@ -310,7 +244,7 @@ def ground_state(
     if hamiltonian.n_terms == 0:
         return hamiltonian.offset, StateVector.zero_state(hamiltonian.n)
 
-    groups = _compile_hamiltonian(hamiltonian)
+    groups = _compile(hamiltonian.codes, hamiltonian.coeffs)
     dim = 2**hamiltonian.n
     rng = np.random.default_rng(_LANCZOS_SEED)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -129,7 +129,7 @@ def test_criterion_2_measurement_correctness():
             for _ in range(draws):
                 outcome = sample_measurement(state, basis, rng)
                 index = 0
-                for sigma in outcome.sigmas:
+                for sigma in outcome:
                     index = (index << 1) | (sigma < 0)
                 counts[index] += 1
             for k in range(2**n):

@@ -1,5 +1,7 @@
 """Tests for Pauli strings, covering, and Hamiltonian parsing."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,20 @@ class TestMeasurementBasis:
 
     def test_letters(self):
         assert str(MeasurementBasis("ZYX")) == "ZYX"
+
+
+class TestLetterStrings:
+    @pytest.mark.parametrize("letters", [PauliOp("XIZY"), MeasurementBasis("ZYX")])
+    def test_pickle_round_trip_keeps_equality_and_hash(self, letters):
+        copy = pickle.loads(pickle.dumps(letters))
+        assert type(copy) is type(letters)
+        assert copy == letters
+        assert hash(copy) == hash(letters)
+
+    def test_pauli_and_basis_never_compare_equal(self):
+        assert PauliOp("XY") != MeasurementBasis("XY")
+        assert MeasurementBasis("XY") != PauliOp("XY")
+        assert repr(MeasurementBasis("XY")) == "MeasurementBasis('XY')"
 
 
 class TestCovers:

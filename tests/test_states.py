@@ -85,10 +85,9 @@ class TestApplyPauli:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
-        for n in (1, 2, 3):
-            for _ in range(10):
+        for n in range(1, 7):
+            for word in ["I" * n] + ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(10)]:
                 amps = random_state_amplitudes(rng, n)
-                word = "".join(rng.choice(list("IXYZ"), size=n))
                 out = apply_pauli(StateVector(amps), PauliOp(word))
                 np.testing.assert_allclose(out.amplitudes, dense_pauli(word) @ amps, atol=1e-12)
 
@@ -116,10 +115,10 @@ class TestExpectation:
 
     def test_matches_dense_oracle_and_range(self):
         rng = np.random.default_rng(13)
-        for _ in range(30):
-            n = int(rng.integers(1, 4))
+        for trial in range(36):
+            n = trial % 6 + 1
             amps = random_state_amplitudes(rng, n)
-            word = "".join(rng.choice(list("IXYZ"), size=n))
+            word = "I" * n if trial < 6 else "".join(rng.choice(list("IXYZ"), size=n))
             value = expectation(StateVector(amps), PauliOp(word))
             oracle = np.vdot(amps, dense_pauli(word) @ amps).real
             assert value == pytest.approx(oracle, abs=1e-10)
@@ -236,19 +235,26 @@ class TestOutcomeTables:
         assert len(calls) == _trie_nodes(rows)
         assert len(calls) < h.n * len(rows)
 
+    def test_row_width_must_match_state(self):
+        zero = StateVector.zero_state(2)
+        with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+            next(states.measurement_distributions(zero, np.full((1, 3), 3, dtype=np.uint8)))
+        with pytest.raises(ValueError):
+            sample_measurement(zero, MeasurementBasis("ZZZ"), np.random.default_rng(0))
+
 
 class TestSampleMeasurement:
     def test_deterministic_z(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             outcome = sample_measurement(StateVector.zero_state(1), MeasurementBasis("Z"), rng)
-            assert list(outcome.sigmas) == [1]
+            assert list(outcome) == [1]
 
     def test_zero_state_x_is_unbiased(self):
         rng = np.random.default_rng(1)
         draws = 20000
         plus = sum(
-            sample_measurement(StateVector.zero_state(1), MeasurementBasis("X"), rng).sigmas[0] == 1
+            sample_measurement(StateVector.zero_state(1), MeasurementBasis("X"), rng)[0] == 1
             for _ in range(draws)
         )
         se = math.sqrt(draws * 0.25)
@@ -262,7 +268,7 @@ class TestSampleMeasurement:
         draws = 20000
         for _ in range(draws):
             outcome = sample_measurement(state, basis, rng)
-            pair = (int(outcome.sigmas[0]), int(outcome.sigmas[1]))
+            pair = (int(outcome[0]), int(outcome[1]))
             assert pair[0] * pair[1] == 1  # product is always +1
             counts[pair] += 1
         se = math.sqrt(draws * 0.25)
@@ -278,7 +284,7 @@ class TestSampleMeasurement:
         counts = np.zeros(8)
         for _ in range(draws):
             outcome = sample_measurement(state, basis, rng)
-            index = sum((1 - int(s)) // 2 << (2 - q) for q, s in enumerate(outcome.sigmas))
+            index = sum((1 - int(s)) // 2 << (2 - q) for q, s in enumerate(outcome))
             counts[index] += 1
         for k in range(8):
             se = math.sqrt(max(draws * probs[k] * (1 - probs[k]), 1.0))
@@ -388,7 +394,7 @@ class TestCompiledOperator:
         rng = np.random.default_rng(seed)
         h = _operator_test_hamiltonian(rng, n, n_terms)
         v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        compiled = states._apply_hamiltonian_raw(v, h)
+        compiled = states._apply_compiled(v, states._compile(h.codes, h.coeffs))
         assert np.max(np.abs(compiled - dense_hamiltonian(h) @ v)) <= 1e-12
 
 
