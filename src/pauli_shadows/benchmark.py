@@ -18,13 +18,14 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .estimation import estimate_energy
-from .paulis import Hamiltonian, load_hamiltonian
+from .paulis import load_hamiltonian
 from .sampling import (
     AdaptiveBasisSampler,
     ProductBasisSampler,
@@ -32,7 +33,7 @@ from .sampling import (
     locally_biased_distribution,
     uniform_distribution,
 )
-from .states import StateVector, ground_state, hamiltonian_expectation, load_state
+from .states import ground_state, hamiltonian_expectation, load_state
 
 METHODS = ("cs", "lbcs", "aps")
 
@@ -70,47 +71,52 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        # The report writes lbcs_tol into its JSON, which has no NaN or infinity.
+        if not (math.isfinite(self.lbcs_tol) and self.lbcs_tol >= 0):
+            raise ValueError(f"lbcs_tol must be a nonnegative number, got {self.lbcs_tol!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
 
 @dataclass
 class BenchmarkReport:
-    """Statistics of one (method, Hamiltonian, state) benchmark."""
+    """Statistics of one method's run of ``config`` (``config.method`` is that method)."""
 
-    method: str
-    hamiltonian_path: str
+    config: ExperimentConfig
     state_source: str
     n_qubits: int
     n_terms: int
-    shots: int
-    repetitions: int
-    master_seed: int
-    lbcs_tol: float
     exact_energy: float
     estimates: list[float]
     rms_error: float
     mean_abs_error: float
-    predicted_error: float | None
-    predicted_error_infinite: bool
+    # Diagonal cost of ``distribution``: None for aps, math.inf when some term is never covered.
+    cost: float | None
     distribution: list[list[float]] | None
     uncovered_counts: list[int]
     # Wall-clock diagnostics; kept out of the JSON serialization so that
     # identical configs and seeds produce byte-identical reports.
     timings: dict = field(default_factory=dict, compare=False)
 
+    @property
+    def predicted_error(self) -> float | None:
+        """``sqrt(cost / shots)``: None for aps, ``math.inf`` when some term is never covered."""
+        return None if self.cost is None else math.sqrt(self.cost / self.config.shots)
+
     def to_json_dict(self) -> dict:
+        config = self.config
+        infinite = self.cost == math.inf  # JSON has no infinity, so a flag stands for it
         return {
-            "method": self.method,
-            "hamiltonian": self.hamiltonian_path,
+            "method": config.method,
+            "hamiltonian": str(config.hamiltonian_path),
             "state_source": self.state_source,
             "n_qubits": self.n_qubits,
             "n_terms": self.n_terms,
-            "shots": self.shots,
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
+            "shots": config.shots,
+            "repetitions": config.repetitions,
+            "master_seed": config.master_seed,
             "seed_rule": "repetition r uses SeedSequence([master_seed, r])",
-            "lbcs_tol": self.lbcs_tol,
+            "lbcs_tol": config.lbcs_tol,
             "error_definitions": {
                 "rms_error": "sqrt(mean((estimate - exact_energy)^2)) over repetitions",
                 "mean_abs_error": "mean(|estimate - exact_energy|) over repetitions",
@@ -121,131 +127,107 @@ class BenchmarkReport:
             "estimates": self.estimates,
             "rms_error": self.rms_error,
             "mean_abs_error": self.mean_abs_error,
-            "predicted_error": self.predicted_error,
-            "predicted_error_infinite": self.predicted_error_infinite,
+            "predicted_error": None if infinite else self.predicted_error,
+            "predicted_error_infinite": infinite,
             "distribution": self.distribution,
             "uncovered_counts": self.uncovered_counts,
         }
 
     def to_csv_row(self) -> list[str]:
-        if self.predicted_error_infinite:
-            predicted = "inf"
-        elif self.predicted_error is None:
-            predicted = ""
-        else:
-            predicted = repr(self.predicted_error)
+        predicted = self.predicted_error
         return [
-            self.method,
-            str(self.shots),
-            str(self.repetitions),
+            self.config.method,
+            str(self.config.shots),
+            str(self.config.repetitions),
             repr(self.exact_energy),
             repr(self.rms_error),
             repr(self.mean_abs_error),
-            predicted,
+            "" if predicted is None else repr(predicted),
             f"{self.timings.get('wall_time_s', 0.0):.6f}",
         ]
 
 
-def _build_sampler(method: str, hamiltonian: Hamiltonian, distribution: np.ndarray | None):
-    if method == "aps":
-        return AdaptiveBasisSampler(hamiltonian)
-    return ProductBasisSampler(distribution)
-
-
 def _run_repetition(args) -> tuple[float, int]:
-    hamiltonian, state, method, distribution, shots, master_seed, repetition = args
-    sampler = _build_sampler(method, hamiltonian, distribution)
+    hamiltonian, state, sampler, shots, master_seed, repetition = args
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, repetition]))
     result = estimate_energy(hamiltonian, state, shots, sampler, rng)
     return result.energy, len(result.uncovered_terms)
 
 
-def _load_inputs(config: ExperimentConfig) -> tuple[Hamiltonian, StateVector, str]:
-    """The Hamiltonian, the state and the state's source label of ``config``."""
+def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
+    """One report per method of ``methods``, all with the shots, repetitions and seeds of ``config``.
+
+    The Hamiltonian, the state and the exact energy are resolved once, and
+    at most one process pool runs the repetitions of every method. The
+    first report's timings include that set-up.
+    """
+    started = time.perf_counter()
     hamiltonian = load_hamiltonian(config.hamiltonian_path)
     if config.state_path is None:
+        state_source = "ground_state"
         _, state = ground_state(hamiltonian)
-        return hamiltonian, state, "ground_state"
-    text = Path(config.state_path).read_text(encoding="utf-8")
-    try:
-        state = load_state(text, hamiltonian.n)
-    except ValueError as exc:
-        raise ValueError(f"{config.state_path}: {exc}") from None
-    return hamiltonian, state, str(config.state_path)
+    else:
+        state_source = str(config.state_path)
+        text = Path(config.state_path).read_text(encoding="utf-8")
+        try:
+            state = load_state(text, hamiltonian.n)
+        except ValueError as exc:
+            raise ValueError(f"{config.state_path}: {exc}") from None
+    exact = hamiltonian_expectation(state, hamiltonian)
+
+    reports = []
+    workers = min(config.workers, config.repetitions)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for method in methods:
+            state_seconds = time.perf_counter() - started
+            build_started = time.perf_counter()
+            distribution: np.ndarray | None = None
+            cost: float | None = None
+            if method == "cs":
+                distribution = uniform_distribution(hamiltonian.n)
+            elif method == "lbcs":
+                distribution = locally_biased_distribution(hamiltonian, tol=config.lbcs_tol)
+            if distribution is None:
+                sampler = AdaptiveBasisSampler(hamiltonian)
+            else:
+                sampler = ProductBasisSampler(distribution)
+                cost = diagonal_cost(hamiltonian, distribution)
+            build_seconds = time.perf_counter() - build_started
+
+            jobs = [
+                (hamiltonian, state, sampler, config.shots, config.master_seed, r)
+                for r in range(config.repetitions)
+            ]
+            outcomes = list((map if pool is None else pool.map)(_run_repetition, jobs))
+            estimates = [energy for energy, _ in outcomes]
+            deviations = np.asarray(estimates) - exact
+            reports.append(
+                BenchmarkReport(
+                    config=replace(config, method=method),
+                    state_source=state_source,
+                    n_qubits=hamiltonian.n,
+                    n_terms=hamiltonian.n_terms,
+                    exact_energy=exact,
+                    estimates=estimates,
+                    rms_error=float(np.sqrt(np.mean(deviations**2))),
+                    mean_abs_error=float(np.mean(np.abs(deviations))),
+                    cost=cost,
+                    distribution=None if distribution is None else distribution.tolist(),
+                    uncovered_counts=[count for _, count in outcomes],
+                    timings={
+                        "wall_time_s": time.perf_counter() - started,
+                        "state_preparation_s": state_seconds,
+                        "distribution_build_s": build_seconds,
+                    },
+                )
+            )
+            started = time.perf_counter()
+    return reports
 
 
 def run_benchmark(config: ExperimentConfig) -> BenchmarkReport:
-    """Run R repetitions of S shots and summarize the errors."""
-    started = time.perf_counter()
-    return _run_method(config, _load_inputs(config), started)
-
-
-def _run_method(
-    config: ExperimentConfig, inputs: tuple[Hamiltonian, StateVector, str], started: float
-) -> BenchmarkReport:
-    """The benchmark of ``config.method`` on already loaded inputs; timed from ``started``."""
-    hamiltonian, state, state_source = inputs
-    state_seconds = time.perf_counter() - started
-
-    build_started = time.perf_counter()
-    distribution: np.ndarray | None = None
-    if config.method == "cs":
-        distribution = uniform_distribution(hamiltonian.n)
-    elif config.method == "lbcs":
-        distribution = locally_biased_distribution(hamiltonian, tol=config.lbcs_tol)
-    build_seconds = time.perf_counter() - build_started
-
-    jobs = [
-        (hamiltonian, state, config.method, distribution, config.shots, config.master_seed, r)
-        for r in range(config.repetitions)
-    ]
-    if config.workers > 1 and config.repetitions > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, config.repetitions)) as pool:
-            outcomes = list(pool.map(_run_repetition, jobs))
-    else:
-        outcomes = [_run_repetition(job) for job in jobs]
-
-    estimates = [energy for energy, _ in outcomes]
-    uncovered_counts = [count for _, count in outcomes]
-
-    exact = hamiltonian_expectation(state, hamiltonian)
-    deviations = np.asarray(estimates) - exact
-    rms_error = float(np.sqrt(np.mean(deviations**2)))
-    mean_abs_error = float(np.mean(np.abs(deviations)))
-
-    predicted_error: float | None = None
-    predicted_infinite = False
-    if distribution is not None:
-        cost = diagonal_cost(hamiltonian, distribution)
-        if math.isinf(cost):
-            predicted_infinite = True
-        else:
-            predicted_error = math.sqrt(cost / config.shots)
-
-    return BenchmarkReport(
-        method=config.method,
-        hamiltonian_path=str(config.hamiltonian_path),
-        state_source=state_source,
-        n_qubits=hamiltonian.n,
-        n_terms=hamiltonian.n_terms,
-        shots=config.shots,
-        repetitions=config.repetitions,
-        master_seed=config.master_seed,
-        lbcs_tol=config.lbcs_tol,
-        exact_energy=exact,
-        estimates=estimates,
-        rms_error=rms_error,
-        mean_abs_error=mean_abs_error,
-        predicted_error=predicted_error,
-        predicted_error_infinite=predicted_infinite,
-        distribution=distribution.tolist() if distribution is not None else None,
-        uncovered_counts=uncovered_counts,
-        timings={
-            "wall_time_s": time.perf_counter() - started,
-            "state_preparation_s": state_seconds,
-            "distribution_build_s": build_seconds,
-        },
-    )
+    """Run R repetitions of S shots of ``config.method`` and summarize the errors."""
+    return _run(config, [config.method])[0]
 
 
 def compare_methods(config: ExperimentConfig) -> list[BenchmarkReport]:
@@ -254,13 +236,7 @@ def compare_methods(config: ExperimentConfig) -> list[BenchmarkReport]:
     The Hamiltonian and the state are resolved once and shared; the
     first report's timings include that set-up.
     """
-    started = time.perf_counter()
-    inputs = _load_inputs(config)
-    reports = []
-    for method in METHODS:
-        reports.append(_run_method(replace(config, method=method), inputs, started))
-        started = time.perf_counter()
-    return reports
+    return _run(config, METHODS)
 
 
 def reports_to_json(reports: list[BenchmarkReport]) -> str:

@@ -30,7 +30,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reps", type=int, default=10, help="independent repetitions")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--state", default=None, help="state file path (default: ground state)")
-    parser.add_argument("--lbcs-tol", type=float, default=1e-10, help="LBCS descent tolerance")
+    parser.add_argument("--lbcs-tol", type=float, default=1e-10, help="LBCS descent tolerance (>= 0)")
     parser.add_argument("--workers", type=int, default=1, help="parallel repetition workers")
     parser.add_argument("--out", required=True, help="report output path")
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="report format")
@@ -49,33 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(estimate)
 
     compare = subparsers.add_parser("compare", help="benchmark cs, lbcs, and aps together")
+    compare.set_defaults(method=METHODS[0])  # unused: compare runs every method
     _add_common_arguments(compare)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, method: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        hamiltonian_path=args.hamiltonian,
-        method=method,
-        shots=args.shots,
-        repetitions=args.reps,
-        master_seed=args.seed,
-        state_path=args.state,
-        lbcs_tol=args.lbcs_tol,
-        workers=args.workers,
-    )
-
-
 def _summarize(report: BenchmarkReport) -> str:
-    predicted = (
-        "inf"
-        if report.predicted_error_infinite
-        else ("-" if report.predicted_error is None else f"{report.predicted_error:.6g}")
-    )
+    predicted = report.predicted_error
     return (
-        f"{report.method:>5}: exact={report.exact_energy:.6f} "
+        f"{report.config.method:>5}: exact={report.exact_energy:.6f} "
         f"rms={report.rms_error:.6g} mae={report.mean_abs_error:.6g} "
-        f"predicted={predicted}"
+        f"predicted={'-' if predicted is None else f'{predicted:.6g}'}"
     )
 
 
@@ -83,11 +67,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        config = ExperimentConfig(
+            hamiltonian_path=args.hamiltonian,
+            method=args.method,
+            shots=args.shots,
+            repetitions=args.reps,
+            master_seed=args.seed,
+            state_path=args.state,
+            lbcs_tol=args.lbcs_tol,
+            workers=args.workers,
+        )
         if args.command == "estimate":
-            config = _config_from_args(args, args.method)
             reports = [run_benchmark(config)]
         else:
-            config = _config_from_args(args, METHODS[0])
             reports = compare_methods(config)
         write_reports(reports, args.out, args.format)
     except Exception as exc:  # surface a diagnostic, not a traceback

@@ -63,7 +63,7 @@ def closed_form_distribution(costs) -> np.ndarray:
     c = np.asarray(costs, dtype=np.float64)
     if c.shape[-1:] != (3,):
         raise ValueError(f"expected three cost masses per row, got shape {c.shape}")
-    if (c < 0.0).any():
+    if not (c >= 0.0).all():  # written so that NaN fails too
         raise ValueError("cost masses must be nonnegative")
     roots = np.sqrt(c)
     roots += roots.sum(axis=-1, keepdims=True) == 0.0  # an all-zero row becomes uniform
@@ -149,7 +149,10 @@ def locally_biased_distribution(
     order; each qubit's triple is replaced by the closed-form coordinate
     minimizer of the diagonal cost. Stops when a full sweep changes the
     cost by less than ``tol * (1 + |cost|)`` or after ``max_sweeps``.
+    ``tol`` must be a nonnegative number.
     """
+    if not tol >= 0.0:  # written so that NaN fails too: it would run every sweep
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if hamiltonian.n_terms == 0:

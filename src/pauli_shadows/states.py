@@ -48,7 +48,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
             raise ValueError("amplitude vector length must be a power of two, at least 2")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -168,8 +168,11 @@ def _rotate_leading(psi: np.ndarray, code: int) -> np.ndarray:
     return out.reshape(-1)
 
 
+_BASIS_CODES = frozenset((CODE_X, CODE_Y, CODE_Z))
+
+
 def measurement_distributions(state: StateVector, rows: np.ndarray, cumulative: bool = False):
-    """Yield the outcome table of each row of letter codes (its normalized cumsum if ``cumulative``).
+    """Yield the outcome table of each row of X/Y/Z letter codes (its normalized cumsum if ``cumulative``).
 
     A table rotates the n qubits in turn with ``_rotate_leading``, which
     leaves the amplitudes in their original order. A stack keeps the n + 1
@@ -186,6 +189,8 @@ def measurement_distributions(state: StateVector, rows: np.ndarray, cumulative: 
     previous: list[int] = []
     for row in rows:
         codes = row.tolist()
+        if not _BASIS_CODES.issuperset(codes):
+            raise ValueError(f"a measurement row holds only X/Y/Z letter codes, got {codes}")
         depth = next((q for q, (old, new) in enumerate(zip(previous, codes)) if old != new), len(previous))
         del stack[depth + 1 :]
         for code in codes[depth:]:

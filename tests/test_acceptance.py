@@ -230,7 +230,7 @@ def test_criterion_5_method_ordering_on_fixtures():
                     hamiltonian_path=str(path), shots=1000, repetitions=50, master_seed=2
                 )
             )
-            rows[path.name] = {r.method: r.rms_error for r in reports}
+            rows[path.name] = {r.config.method: r.rms_error for r in reports}
             print(
                 f"  {path.name}: cs={rows[path.name]['cs']:.4f} "
                 f"lbcs={rows[path.name]['lbcs']:.4f} aps={rows[path.name]['aps']:.4f}"

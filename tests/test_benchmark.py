@@ -50,6 +50,9 @@ class TestExperimentConfig:
             ExperimentConfig(hamiltonian_path=path, repetitions=0)
         with pytest.raises(ValueError):
             ExperimentConfig(hamiltonian_path=path, workers=0)
+        for tol in (math.nan, -1e-10, math.inf):
+            with pytest.raises(ValueError, match="lbcs_tol"):
+                ExperimentConfig(hamiltonian_path=path, lbcs_tol=tol)
 
 
 class TestRunBenchmark:
@@ -152,7 +155,7 @@ class TestDeterminism:
 class TestCompareMethods:
     def test_trivial_fixture_all_zero(self, z_config):
         reports = compare_methods(z_config)
-        assert [r.method for r in reports] == ["cs", "lbcs", "aps"]
+        assert [r.config.method for r in reports] == ["cs", "lbcs", "aps"]
         for report in reports:
             assert report.rms_error == pytest.approx(0.0, abs=1e-9)
         # cs and lbcs carry a product distribution and a prediction; aps does not
@@ -181,6 +184,28 @@ class TestCompareMethods:
         separate = reports_to_json([run_benchmark(replace(config, method=m)) for m in ("cs", "lbcs", "aps")])
         assert compared == separate
 
+    def test_one_pool_and_worker_count_does_not_change_json(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from pauli_shadows import benchmark
+
+        path = tmp_path / "h.ham"
+        path.write_text("0.5 XZ\n-0.25 ZI\n0.3 YY\n")
+        config = ExperimentConfig(hamiltonian_path=str(path), shots=200, repetitions=4, master_seed=9)
+        pools = []
+
+        class CountingPool(benchmark.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", CountingPool)
+        serial = reports_to_json(compare_methods(config))
+        assert pools == []
+        parallel = reports_to_json(compare_methods(replace(config, workers=2)))
+        assert len(pools) == 1
+        assert parallel == serial
+
 
 class TestReportFormats:
     def test_csv_columns_and_rows(self, z_config):
@@ -203,8 +228,7 @@ class TestReportFormats:
 
     def test_infinite_prediction_flagged(self, z_config):
         report = run_benchmark(z_config)
-        report.predicted_error = None
-        report.predicted_error_infinite = True
+        report.cost = math.inf
         assert report.to_csv_row()[6] == "inf"
         payload = report.to_json_dict()
         assert payload["predicted_error"] is None

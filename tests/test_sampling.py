@@ -59,6 +59,8 @@ class TestClosedFormDistribution:
             closed_form_distribution((-1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             closed_form_distribution((1.0, 0.0))
+        with pytest.raises(ValueError):
+            closed_form_distribution((np.nan, 1.0, 1.0))
 
     def test_beats_grid_search(self):
         grid = simplex_grid(1000)
@@ -391,6 +393,14 @@ class TestLocallyBiasedDistribution:
     def test_identity_only_hamiltonian(self):
         pd = locally_biased_distribution(parse_hamiltonian("1.0 II"))
         np.testing.assert_array_equal(pd, uniform_distribution(2))
+
+    def test_rejects_bad_arguments(self):
+        h = parse_hamiltonian("1.0 XX\n0.5 ZI")
+        for tol in (np.nan, -1e-10):
+            with pytest.raises(ValueError, match="tol"):
+                locally_biased_distribution(h, tol=tol)
+        with pytest.raises(ValueError):
+            locally_biased_distribution(h, max_sweeps=0)
 
 
 class TestSamplerDeterminism:

@@ -60,6 +60,8 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector([1.0, 1.0])
+        with pytest.raises(ValueError):
+            StateVector([np.nan, 0.0])
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
@@ -241,6 +243,13 @@ class TestOutcomeTables:
             next(states.measurement_distributions(zero, np.full((1, 3), 3, dtype=np.uint8)))
         with pytest.raises(ValueError):
             sample_measurement(zero, MeasurementBasis("ZZZ"), np.random.default_rng(0))
+
+    def test_rows_must_hold_basis_letters(self):
+        # Codes 0 (I) and 4 name no measurement basis; neither may be rotated as X.
+        zero = StateVector.zero_state(2)
+        for row in ([0, 3], [4, 3], [3, 0]):
+            with pytest.raises(ValueError, match="X/Y/Z"):
+                next(states.measurement_distributions(zero, np.array([row], dtype=np.uint8)))
 
 
 class TestSampleMeasurement:
