@@ -56,15 +56,16 @@ def product_distribution(table) -> np.ndarray:
 def closed_form_distribution(costs) -> np.ndarray:
     """Minimizer of ``sum_B c_B / p_B`` over the simplex, for each row of (..., 3) masses.
 
-    A row whose masses are all zero has a flat objective and gets the
-    uniform distribution. Letters with zero mass get probability exactly
-    0 (convention c/0 = 0), and are therefore never sampled.
+    Masses must be finite and nonnegative. A row whose masses are all
+    zero has a flat objective and gets the uniform distribution. Letters
+    with zero mass get probability exactly 0 (convention c/0 = 0), and
+    are therefore never sampled.
     """
     c = np.asarray(costs, dtype=np.float64)
     if c.shape[-1:] != (3,):
         raise ValueError(f"expected three cost masses per row, got shape {c.shape}")
-    if not (c >= 0.0).all():  # written so that NaN fails too
-        raise ValueError("cost masses must be nonnegative")
+    if not ((c >= 0.0) & (c < math.inf)).all():  # written so that NaN fails too
+        raise ValueError("cost masses must be finite and nonnegative")
     roots = np.sqrt(c)
     roots += roots.sum(axis=-1, keepdims=True) == 0.0  # an all-zero row becomes uniform
     return roots / roots.sum(axis=-1, keepdims=True)
@@ -73,6 +74,20 @@ def closed_form_distribution(costs) -> np.ndarray:
 def uniform_distribution(n: int) -> np.ndarray:
     """The classical-shadows distribution: every letter of every qubit is 1/3."""
     return product_distribution(np.full((n, 3), 1.0 / 3.0))
+
+
+def _term_masses(hamiltonian: Hamiltonian) -> np.ndarray:
+    """Squared coefficients alpha_P^2, the cost masses of LBCS and APS.
+
+    Raises ``ValueError`` when they overflow: their sum bounds every
+    mass that the LBCS descent and the APS stages add up.
+    """
+    with np.errstate(over="ignore"):
+        masses = hamiltonian.coeffs * hamiltonian.coeffs
+        total = masses.sum()
+    if not total < math.inf:
+        raise ValueError(f"cost masses must be finite and nonnegative: the squared coefficients sum to {total}")
+    return masses
 
 
 def _term_factors(codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -111,7 +126,7 @@ def _lbcs_sweeps(
     """
     n = hamiltonian.n
     codes = hamiltonian.codes
-    masses_all = hamiltonian.coeffs * hamiltonian.coeffs
+    masses_all = _term_masses(hamiltonian)
 
     raw = np.full((n, 3), 1.0 / 3.0)
     floored = raw.copy()
@@ -172,8 +187,10 @@ def locally_biased_distribution(
     return product_distribution(clipped)
 
 
-_LETTER_CODES = np.array([[CODE_X], [CODE_Y], [CODE_Z]])
-# Cap on (shot, term) pairs that one slice of adaptive selection handles.
+_LETTER_CODES = np.array([CODE_X, CODE_Y, CODE_Z])
+# Cap on (shot, term) cells in one slice of adaptive selection: its
+# alive mask, one qubit group's float copy of it and the gathered keep
+# mask each hold that many cells.
 _SLICE_CELLS = 1 << 16
 
 
@@ -216,17 +233,27 @@ class AdaptiveBasisSampler:
 
     ``bases`` uses two uniform draws per qubit. The first n columns of a
     row fix the shot's qubit order (their ``argsort``, a uniformly random
-    permutation); column n + j then picks the letter at stage j. All
-    shots advance one stage at a time, with a (shots, terms) mask of the
-    terms still consistent with each shot's letters, so a block of shots
-    costs O(shots * n_terms * n) in vectorized steps.
+    permutation); column n + j then picks the letter at stage j.
+
+    Two tables, built once from the Hamiltonian, carry the stage work:
+    ``weights[q, t, l]`` is term t's mass alpha_t^2 when its letter at
+    qubit q is l + 1, else 0, and ``keep[q, l, t]`` says whether term t
+    is still consistent once qubit q reads letter l + 1. All shots
+    advance one stage at a time with a (shots, terms) bool mask of their
+    alive terms. A stage costs one (shots at q, terms) @ (terms, 3)
+    matrix product per qubit q that occurs in it, then one gathered
+    (shots, terms) keep mask, so a block of shots costs
+    O(shots * terms * n) in about n * n vectorized steps. On 8 qubits
+    and 500 terms the tables take 94 KiB (float64) and 12 KiB (bool).
     """
 
     def __init__(self, hamiltonian: Hamiltonian):
         self.hamiltonian = hamiltonian
         self.uniforms = 2 * hamiltonian.n
-        self._columns = np.ascontiguousarray(hamiltonian.codes.T)  # (n, terms)
-        self._masses = hamiltonian.coeffs * hamiltonian.coeffs
+        columns = hamiltonian.codes.T[:, :, None]  # (n, terms, 1)
+        letters = columns == _LETTER_CODES  # (n, terms, 3)
+        self._weights = np.where(letters, _term_masses(hamiltonian)[:, None], 0.0)
+        self._keep = np.ascontiguousarray((letters | (columns == CODE_I)).transpose(0, 2, 1))
 
     def bases(self, u: np.ndarray) -> np.ndarray:
         """Map a (shots, 2n) block of U[0, 1) draws to (shots, n) letter codes.
@@ -237,7 +264,7 @@ class AdaptiveBasisSampler:
         independent; they go through in slices of about
         ``_SLICE_CELLS / terms`` shots to bound the stage masks' memory.
         """
-        step = max(1, _SLICE_CELLS // max(1, self._masses.size))
+        step = max(1, _SLICE_CELLS // max(1, self.hamiltonian.n_terms))
         return np.concatenate([self._stages(u[i : i + step]) for i in range(0, max(len(u), 1), step)])
 
     def _stages(self, u: np.ndarray) -> np.ndarray:
@@ -246,18 +273,18 @@ class AdaptiveBasisSampler:
         order = np.argsort(u[:, :n], axis=1)
         rows = np.arange(shots)
         codes = np.empty((shots, n), dtype=np.uint8)
-        alive = np.ones((shots, self._masses.size), dtype=bool)
-        masses = np.broadcast_to(self._masses, (shots, 3, self._masses.size))
+        alive = np.ones((shots, self.hamiltonian.n_terms), dtype=bool)
+        masses = np.empty((shots, 3))
         for stage in range(n):
             qubits = order[:, stage]
-            column = self._columns[qubits]
-            # live[s, l, t]: term t is alive in shot s and has letter l + 1 at its qubit
-            live = np.where(alive, column, CODE_I)[:, None, :] == _LETTER_CODES
-            t0, t1 = _thresholds(closed_form_distribution(masses.sum(axis=2, where=live)))
+            for qubit in np.flatnonzero(np.bincount(qubits, minlength=n)):  # qubits in this stage
+                at = qubits == qubit
+                masses[at] = alive[at].astype(np.float64) @ self._weights[qubit]
+            t0, t1 = _thresholds(closed_form_distribution(masses))
             draws = u[:, n + stage]
             letters = (1 + (draws >= t0) + (draws >= t1)).astype(np.uint8)
             codes[rows, qubits] = letters
-            alive &= (column == CODE_I) | (column == letters[:, None])
+            alive &= self._keep[qubits, letters - 1]
         return codes
 
     def sample(self, rng: np.random.Generator) -> MeasurementBasis:

@@ -20,6 +20,7 @@ from pauli_shadows import (
     MeasurementBasis,
     PauliOp,
     StateVector,
+    closed_form_distribution,
     hamiltonian_expectation,
     measurement_distribution,
 )
@@ -188,6 +189,40 @@ def exact_adaptive_distribution(
 
         walk(0, [], 1.0)
     return result
+
+
+def reference_aps_bases(hamiltonian: Hamiltonian, u: np.ndarray) -> np.ndarray:
+    """Adaptive selection of ``AdaptiveBasisSampler.bases`` with a masked sum over every term.
+
+    All rows in one pass, each stage's letter masses summed by
+    ``np.sum(where=)`` over a (shots, 3, terms) mask of the alive terms
+    that carry each letter at the shot's qubit. The sampler's letter
+    draws must agree with it exactly.
+    """
+    n = hamiltonian.n
+    shots = u.shape[0]
+    columns = np.ascontiguousarray(hamiltonian.codes.T)  # (n, terms)
+    letter_codes = np.array([[CODE_X], [CODE_Y], [CODE_Z]])
+    order = np.argsort(u[:, :n], axis=1)
+    rows = np.arange(shots)
+    codes = np.empty((shots, n), dtype=np.uint8)
+    alive = np.ones((shots, hamiltonian.n_terms), dtype=bool)
+    masses = np.broadcast_to(hamiltonian.coeffs * hamiltonian.coeffs, (shots, 3, hamiltonian.n_terms))
+    for stage in range(n):
+        qubits = order[:, stage]
+        column = columns[qubits]
+        # live[s, l, t]: term t is alive in shot s and has letter l + 1 at its qubit
+        live = np.where(alive, column, CODE_I)[:, None, :] == letter_codes
+        probs = closed_form_distribution(masses.sum(axis=2, where=live))
+        t0 = probs[:, 0].copy()
+        t1 = probs[:, 0] + probs[:, 1]
+        t1[probs[:, 2] == 0.0] = 1.0
+        t0[(probs[:, 1] == 0.0) & (probs[:, 2] == 0.0)] = 1.0
+        draws = u[:, n + stage]
+        letters = (1 + (draws >= t0) + (draws >= t1)).astype(np.uint8)
+        codes[rows, qubits] = letters
+        alive &= (column == CODE_I) | (column == letters[:, None])
+    return codes
 
 
 def coverage_count(pauli_letters: str, n: int) -> Fraction:

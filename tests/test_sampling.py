@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from pauli_shadows import (
     AdaptiveBasisSampler,
+    Hamiltonian,
     MeasurementBasis,
+    PauliOp,
     ProductBasisSampler,
     closed_form_distribution,
     diagonal_cost,
@@ -19,6 +21,7 @@ from pauli_shadows import (
     parse_hamiltonian,
     uniform_distribution,
 )
+from pauli_shadows import sampling
 from pauli_shadows.paulis import covers
 from pauli_shadows.sampling import _lbcs_sweeps, product_distribution
 
@@ -27,6 +30,7 @@ from helpers import (
     exact_adaptive_distribution,
     grid_objective_minimum,
     random_hamiltonian,
+    reference_aps_bases,
     simplex_grid,
 )
 
@@ -61,6 +65,12 @@ class TestClosedFormDistribution:
             closed_form_distribution((1.0, 0.0))
         with pytest.raises(ValueError):
             closed_form_distribution((np.nan, 1.0, 1.0))
+
+    def test_infinite_mass_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_distribution((np.inf, 1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_distribution([[1.0, 0.0, 0.0], [0.0, 0.0, np.inf]])
 
     def test_beats_grid_search(self):
         grid = simplex_grid(1000)
@@ -277,6 +287,58 @@ class TestAdaptiveChoice:
             word = "".join(word)
             se = math.sqrt(9000 * (1 / 9) * (8 / 9))
             assert abs(counts[word] - 1000) <= 4 * se
+
+
+@st.composite
+def aps_hamiltonians(draw):
+    """Hamiltonians of 1-7 qubits and 1-60 terms with coefficients of size 1e-3 to 1e3.
+
+    Besides random words, the draw can add weight-1 terms and give one
+    qubit all three letters as weight-1 terms.
+    """
+    n = draw(st.integers(1, 7))
+    letter = st.sampled_from("IXYZ")
+    words = draw(st.lists(st.lists(letter, min_size=n, max_size=n).map("".join), max_size=60))
+    for qubit, single in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ")), max_size=6)):
+        words.append("I" * qubit + single + "I" * (n - qubit - 1))
+    full = draw(st.none() | st.integers(0, n - 1))
+    if full is not None:
+        words += ["I" * full + single + "I" * (n - full - 1) for single in "XYZ"]
+    words = list(dict.fromkeys(w for w in words if w != "I" * n))[:60] or ["Z" * n]
+    magnitude = st.floats(1e-3, 1e3)
+    terms = [(draw(magnitude) * draw(st.sampled_from((1.0, -1.0))), PauliOp(w)) for w in words]
+    return Hamiltonian(n, terms)
+
+
+class TestAdaptiveKernel:
+    @given(aps_hamiltonians(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_masked_sum_reference(self, h, per_slice, seed, data):
+        # Uniforms from numpy, so that no draw sits exactly on a letter threshold.
+        shots = data.draw(st.integers(per_slice + 1, 30))  # so at least two slices run
+        u = np.random.default_rng(seed).random((shots, 2 * h.n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_SLICE_CELLS", per_slice * h.n_terms)  # per_slice shots a slice
+            np.testing.assert_array_equal(AdaptiveBasisSampler(h).bases(u), reference_aps_bases(h, u))
+
+    def test_tables(self):
+        h = parse_hamiltonian("1.0 XZ\n0.5 ZI\n-2.0 IY")
+        sampler = AdaptiveBasisSampler(h)
+        np.testing.assert_array_equal(
+            sampler._weights,
+            [[[1.0, 0, 0], [0, 0, 0.25], [0, 0, 0]], [[0, 0, 1.0], [0, 0, 0], [0, 4.0, 0]]],
+        )
+        np.testing.assert_array_equal(
+            sampler._keep,
+            [[[1, 0, 1], [0, 0, 1], [0, 1, 1]], [[0, 1, 0], [0, 1, 1], [1, 1, 0]]],
+        )
+
+    def test_overflowing_masses_rejected(self):
+        h = parse_hamiltonian("1e200 ZI\n1.0 XX\n0.5 IY")
+        with pytest.raises(ValueError, match="finite"):
+            AdaptiveBasisSampler(h)
+        with pytest.raises(ValueError, match="finite"):
+            locally_biased_distribution(h)
 
 
 class TestUniformAndProductSampling:
