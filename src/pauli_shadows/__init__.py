@@ -10,8 +10,6 @@ from .paulis import (
     EmptyHamiltonianError,
     Hamiltonian,
     HamiltonianFormatError,
-    MeasurementBasis,
-    PauliOp,
     load_hamiltonian,
     parse_hamiltonian,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "GroundStateConvergenceError",
     "Hamiltonian",
     "HamiltonianFormatError",
-    "MeasurementBasis",
-    "PauliOp",
     "ProductBasisSampler",
     "StateVector",
     "closed_form_distribution",

@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .paulis import CODE_I, Hamiltonian, PauliOp
+from .paulis import CODE_I, Hamiltonian
 from .states import StateVector, measurement_distributions
 
 # Cap on (shot, term) cells that one slice of the fold holds.
@@ -45,7 +45,7 @@ class EstimationResult:
     sums: np.ndarray
     counts: np.ndarray
     shots_used: int
-    uncovered_terms: list[PauliOp]
+    uncovered_terms: list[str]
 
     @property
     def means(self) -> np.ndarray:
@@ -93,15 +93,15 @@ def estimate_energy(
 
     Draws one (shots, ``sampler.uniforms`` + 1) block of uniforms: the
     sampler turns the leading columns of each row into that shot's
-    basis, and the last column draws its outcome. Shots are grouped by
-    distinct basis; each basis gets one outcome table and one
+    basis, and the last column draws its outcome. One stable sort puts
+    the shots in lexicographic order of their bases, so each distinct
+    basis is a run of shots; it gets one outcome table and one
     inverse-CDF draw of all its outcomes, and its table is dropped
-    before the next one is built. The distinct bases come
-    lexicographically sorted, so ``measurement_distributions`` reuses the
-    rotated prefix each shares with the one before. One fold then turns
-    all the shots into per-term sums and counts. Deterministic given
-    the inputs and the rng state; replaying a seed reproduces the result
-    bit for bit.
+    before the next one is built. ``measurement_distributions`` reuses
+    the rotated prefix each distinct basis shares with the one before.
+    One fold then turns all the shots into per-term sums and counts.
+    Deterministic given the inputs and the rng state; replaying a seed
+    reproduces the result bit for bit.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -115,18 +115,14 @@ def estimate_energy(
             f"sampler must give one row of {hamiltonian.n} letter codes per shot, "
             f"got shape {bases.shape}"
         )
-    distinct, inverse = np.unique(bases, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    splits = np.cumsum(np.bincount(inverse))[:-1]
-    tables = measurement_distributions(state, distinct, cumulative=True)
-    outcomes = np.concatenate(
-        [
-            np.searchsorted(cumulative, draws, side="right")
-            for draws, cumulative in zip(np.split(u[order, -1], splits), tables)
-        ]
-    )
-    sums, counts = _fold(hamiltonian.codes, bases[order], outcomes)
+    order = np.lexsort(bases.T[::-1])  # rows in lexicographic order, ties in draw order
+    bases, draws = bases[order], u[order, -1]
+    bounds = np.append(np.flatnonzero(np.r_[True, (bases[1:] != bases[:-1]).any(axis=1)]), shots)
+    tables = measurement_distributions(state, bases[bounds[:-1]], cumulative=True)
+    outcomes = np.empty(shots, dtype=np.int64)
+    for start, stop, cumulative in zip(bounds[:-1], bounds[1:], tables):
+        outcomes[start:stop] = np.searchsorted(cumulative, draws[start:stop], side="right")
+    sums, counts = _fold(hamiltonian.codes, bases, outcomes)
 
     result = EstimationResult(
         energy=hamiltonian.offset,

@@ -1,13 +1,16 @@
-"""Pauli strings, the covering relation, and Hamiltonian file ingestion.
+"""Pauli words, the covering relation, and Hamiltonian file ingestion.
 
-Letters are stored as per-qubit integer codes (I=0, X=1, Y=2, Z=3) in
-read-only uint8 arrays, so equality checks and covering tests are single
-vectorized passes over the string.
+A Pauli word is a plain ``str`` over IXYZ, qubit 0 first, and a
+measurement basis is a word over XYZ; words compare, hash and print as
+strings. ``letter_codes`` is the one check a word passes on its way to
+the numeric code: it returns the per-qubit codes I=0, X=1, Y=2, Z=3 as
+a read-only uint8 array. A ``Hamiltonian`` keeps its terms as
+(coefficient, word) pairs and their codes as one (terms, n) array.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -18,7 +21,7 @@ CODE_I, CODE_X, CODE_Y, CODE_Z = 0, 1, 2, 3
 # strings are treated as exact cancellations and dropped.
 MERGE_THRESHOLD = 1e-12
 
-_CODE_OF = {letter: code for code, letter in enumerate(LETTERS)}
+_TO_CODE = str.maketrans({letter: chr(code) for code, letter in enumerate(LETTERS)})
 
 
 class HamiltonianFormatError(ValueError):
@@ -35,103 +38,35 @@ class EmptyHamiltonianError(ValueError):
     """Parsing left no terms and no constant offset (e.g. full cancellation)."""
 
 
-def _as_codes(letters, allowed_min: int) -> np.ndarray:
-    """Normalize a letter spec (string, code sequence, or array) to uint8 codes."""
-    if isinstance(letters, str):
-        try:
-            codes = np.array([_CODE_OF[ch] for ch in letters], dtype=np.uint8)
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli letter {exc.args[0]!r}") from None
-    else:
-        codes = np.array(letters, dtype=np.uint8)
-        if codes.ndim != 1:
-            raise ValueError("letter codes must be one-dimensional")
-        if codes.size and codes.max(initial=0) > CODE_Z:
-            raise ValueError("letter codes must lie in {0, 1, 2, 3}")
-    if codes.size < 1:
-        raise ValueError("a Pauli string needs at least one qubit")
-    if codes.size and codes.min() < allowed_min:
-        raise ValueError("identity letters are not allowed here")
-    codes.setflags(write=False)
-    return codes
+def letter_codes(word: str) -> np.ndarray:
+    """Per-qubit codes of a Pauli word over IXYZ, qubit 0 first, as read-only uint8.
 
+    Raises ``ValueError`` unless ``word`` is a nonempty ``str`` over IXYZ.
 
-class _Letters:
-    """An immutable string of per-qubit letter codes, qubit 0 first.
-
-    Hashable, so strings can key dictionaries; hashing and equality cost
-    O(n), and only instances of the same class compare equal.
+    >>> letter_codes("XIZ")
+    array([1, 0, 3], dtype=uint8)
     """
-
-    __slots__ = ("codes",)
-    _allowed_min = CODE_I
-
-    def __init__(self, letters: str | Sequence[int] | np.ndarray):
-        if isinstance(letters, type(self)):
-            self.codes = letters.codes
-        else:
-            self.codes = _as_codes(letters, allowed_min=self._allowed_min)
-
-    @property
-    def n(self) -> int:
-        return self.codes.size
-
-    def __len__(self) -> int:
-        return self.codes.size
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.codes, other.codes)
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.codes.tobytes()))
-
-    def __str__(self) -> str:
-        return "".join(LETTERS[c] for c in self.codes)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r})"
-
-    def __reduce__(self):
-        return (type(self), (str(self),))
+    if not isinstance(word, str) or not word:
+        raise ValueError(f"a Pauli word is a nonempty str over IXYZ, got {word!r}")
+    rest = word.strip(LETTERS)  # empty iff every letter lies in IXYZ
+    if rest:
+        raise ValueError(f"invalid Pauli letter {rest[0]!r} in {word!r}")
+    # A view of immutable bytes, so the array is read-only.
+    return np.frombuffer(word.translate(_TO_CODE).encode(), dtype=np.uint8)
 
 
-class PauliOp(_Letters):
-    """An n-qubit Pauli string over {I, X, Y, Z}, qubit 0 first.
-
-    >>> p = PauliOp("XIZ")
-    >>> p.weight()
-    2
-    """
-
-    __slots__ = ()
-
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return int(np.count_nonzero(self.codes))
-
-    def is_identity(self) -> bool:
-        return not self.codes.any()
-
-
-class MeasurementBasis(_Letters):
-    """A product measurement setting: one letter from {X, Y, Z} per qubit."""
-
-    __slots__ = ()
-    _allowed_min = CODE_X
-
-
-def covers(basis: MeasurementBasis, pauli: PauliOp) -> bool:
-    """True iff every non-identity letter of ``pauli`` matches ``basis``.
+def covers(basis: str, pauli: str) -> bool:
+    """True iff every non-identity letter of the word ``pauli`` matches the basis word.
 
     A covered observable can be read off from the measurement record of
     ``basis``; an uncovered one cannot.
     """
-    if basis.n != pauli.n:
-        raise ValueError(f"length mismatch: basis has {basis.n} qubits, Pauli has {pauli.n}")
-    p = pauli.codes
-    return bool(np.all((p == CODE_I) | (p == basis.codes)))
+    b, p = letter_codes(basis), letter_codes(pauli)
+    if b.size != p.size:
+        raise ValueError(f"length mismatch: basis has {b.size} qubits, Pauli has {p.size}")
+    if not b.all():
+        raise ValueError(f"a measurement basis holds only X, Y and Z, got {basis!r}")
+    return bool(np.all((p == CODE_I) | (p == b)))
 
 
 class Hamiltonian:
@@ -148,43 +83,41 @@ class Hamiltonian:
 
     __slots__ = ("n", "terms", "offset", "coeffs", "codes")
 
-    def __init__(self, n: int, terms: Iterable[tuple[float, PauliOp]], offset: float = 0.0):
+    def __init__(self, n: int, terms: Iterable[tuple[float, str]], offset: float = 0.0):
         if n < 1:
             raise ValueError("a Hamiltonian needs at least one qubit")
         if not np.isfinite(offset):
             raise ValueError("constant offset must be finite")
-        term_list: list[tuple[float, PauliOp]] = []
-        seen: set[PauliOp] = set()
-        for alpha, pauli in terms:
+        coeff_of: dict[str, float] = {}
+        rows: list[np.ndarray] = []
+        for alpha, word in terms:
             alpha = float(alpha)
+            codes = letter_codes(word)
             if not np.isfinite(alpha) or alpha == 0.0:
-                raise ValueError(f"coefficient of {pauli} must be finite and nonzero")
-            if pauli.n != n:
-                raise ValueError(f"term {pauli} has length {pauli.n}, expected {n}")
-            if pauli.is_identity():
+                raise ValueError(f"coefficient of {word} must be finite and nonzero")
+            if codes.size != n:
+                raise ValueError(f"term {word} has length {codes.size}, expected {n}")
+            if not codes.any():
                 raise ValueError("the all-identity string belongs in the offset, not in terms")
-            if pauli in seen:
-                raise ValueError(f"duplicate term {pauli}")
-            seen.add(pauli)
-            term_list.append((alpha, pauli))
+            if word in coeff_of:
+                raise ValueError(f"duplicate term {word}")
+            coeff_of[word] = alpha
+            rows.append(codes)
 
         self.n = int(n)
-        self.terms = tuple(term_list)
+        self.terms = tuple((alpha, word) for word, alpha in coeff_of.items())
         self.offset = float(offset)
-        self.coeffs = np.array([a for a, _ in term_list], dtype=np.float64)
-        codes = np.zeros((len(term_list), n), dtype=np.uint8)
-        for row, (_, pauli) in enumerate(term_list):
-            codes[row] = pauli.codes
+        self.coeffs = np.array(list(coeff_of.values()), dtype=np.float64)
+        self.codes = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
         self.coeffs.setflags(write=False)
-        codes.setflags(write=False)
-        self.codes = codes
+        self.codes.setflags(write=False)
 
     @property
     def n_terms(self) -> int:
         return len(self.terms)
 
     @property
-    def paulis(self) -> tuple[PauliOp, ...]:
+    def paulis(self) -> tuple[str, ...]:
         return tuple(p for _, p in self.terms)
 
     def __repr__(self) -> str:
@@ -204,8 +137,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     coefficients below ``MERGE_THRESHOLD`` in magnitude are dropped.
     """
     n: int | None = None
-    merged: dict[str, float] = {}
-    order: list[str] = []
+    merged: dict[str, float] = {}  # word -> summed coefficient, in order of first appearance
 
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -234,25 +166,21 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             raise HamiltonianFormatError(
                 f"Pauli string {word!r} has length {len(word)}, expected {n}", line_number
             )
-        if word not in merged:
-            merged[word] = 0.0
-            order.append(word)
-        merged[word] += alpha
+        merged[word] = merged.get(word, 0.0) + alpha
 
     if n is None:
         raise EmptyHamiltonianError("no Hamiltonian terms found")
 
     offset = 0.0
-    terms: list[tuple[float, PauliOp]] = []
+    terms: list[tuple[float, str]] = []
     identity = "I" * n
-    for word in order:
-        alpha = merged[word]
+    for word, alpha in merged.items():
         if abs(alpha) < MERGE_THRESHOLD:
             continue
         if word == identity:
             offset = alpha
         else:
-            terms.append((alpha, PauliOp(word)))
+            terms.append((alpha, word))
 
     if not terms and offset == 0.0:
         raise EmptyHamiltonianError("all terms cancelled or fell below the merge threshold")

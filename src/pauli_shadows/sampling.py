@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, Hamiltonian, MeasurementBasis
+from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, LETTERS, Hamiltonian
 
 PROB_SUM_TOL = 1e-12
 
@@ -101,17 +101,19 @@ def _term_factors(codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
     """Variance surrogate ``sum_P alpha_P^2 / Pr[P covered]``.
 
-    Returns ``math.inf`` when some term has zero coverage probability.
+    Returns ``math.inf`` when some term has zero coverage probability,
+    and raises ``ValueError`` when the squared coefficients overflow.
     The constant offset never contributes (it is measured exactly).
     """
     probs = product_distribution(table)
     if hamiltonian.n != probs.shape[0]:
         raise ValueError("Hamiltonian and distribution qubit counts differ")
+    masses = _term_masses(hamiltonian)
     coverage = _term_factors(hamiltonian.codes, probs).prod(axis=1)
     if np.any(coverage == 0.0):
         return math.inf
     total = 0.0
-    for share in (hamiltonian.coeffs * hamiltonian.coeffs / coverage).tolist():
+    for share in (masses / coverage).tolist():
         total += share  # in term order: a pairwise np.sum moves predicted_error's last digit
     return total
 
@@ -208,6 +210,11 @@ def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t0, t1
 
 
+def _word(codes: np.ndarray) -> str:
+    """The basis word of one row of letter codes."""
+    return "".join(LETTERS[code] for code in codes.tolist())
+
+
 class ProductBasisSampler:
     """Draws measurement bases from a fixed product distribution.
 
@@ -224,8 +231,8 @@ class ProductBasisSampler:
         """Map a (shots, n) block of U[0, 1) draws to (shots, n) letter codes."""
         return (1 + (u >= self._t0) + (u >= self._t1)).astype(np.uint8)
 
-    def sample(self, rng: np.random.Generator) -> MeasurementBasis:
-        return MeasurementBasis(self.bases(rng.random((1, self.uniforms)))[0])
+    def sample(self, rng: np.random.Generator) -> str:
+        return _word(self.bases(rng.random((1, self.uniforms)))[0])
 
 
 class AdaptiveBasisSampler:
@@ -287,5 +294,5 @@ class AdaptiveBasisSampler:
             alive &= self._keep[qubits, letters - 1]
         return codes
 
-    def sample(self, rng: np.random.Generator) -> MeasurementBasis:
-        return MeasurementBasis(self.bases(rng.random((1, self.uniforms)))[0])
+    def sample(self, rng: np.random.Generator) -> str:
+        return _word(self.bases(rng.random((1, self.uniforms)))[0])

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .paulis import CODE_X, CODE_Y, CODE_Z, Hamiltonian, MeasurementBasis, PauliOp
+from .paulis import CODE_X, CODE_Y, CODE_Z, Hamiltonian, letter_codes
 
 NORM_TOL = 1e-10
 # Wide enough that amplitudes rounded to a few decimals still load;
@@ -74,11 +74,6 @@ def sigmas_from_index(index: int, n: int) -> np.ndarray:
     return _SIGMAS[(index >> np.arange(n - 1, -1, -1)) & 1]
 
 
-def _check_lengths(state: StateVector, op) -> None:
-    if state.n != op.n:
-        raise ValueError(f"length mismatch: state has {state.n} qubits, operator has {op.n}")
-
-
 # Y|b> = i(-1)^b |1-b> = -i(-1)^(1-b) |1-b>: read on the output index, each Y
 # is a Z sign times -i, so a string with y Y letters carries (-i)^y.
 _Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -125,13 +120,15 @@ def _apply_compiled(amplitudes: np.ndarray, groups: list[tuple[tuple[slice, ...]
     return out.reshape(-1)
 
 
-def apply_pauli(state: StateVector, pauli: PauliOp) -> StateVector:
-    """Return P|psi> with the standard phases (Y|0> = i|1>, Y|1> = -i|0>)."""
-    _check_lengths(state, pauli)
-    return StateVector(_apply_compiled(state.amplitudes, _compile(pauli.codes[None], np.ones(1))))
+def apply_pauli(state: StateVector, pauli: str) -> StateVector:
+    """Return P|psi> for the word P, with the standard phases (Y|0> = i|1>, Y|1> = -i|0>)."""
+    codes = letter_codes(pauli)
+    if state.n != codes.size:
+        raise ValueError(f"length mismatch: state has {state.n} qubits, operator has {codes.size}")
+    return StateVector(_apply_compiled(state.amplitudes, _compile(codes[None], np.ones(1))))
 
 
-def expectation(state: StateVector, pauli: PauliOp) -> float:
+def expectation(state: StateVector, pauli: str) -> float:
     """Exact <psi|P|psi>; always real and in [-1, 1] for a normalized state."""
     value = np.vdot(state.amplitudes, apply_pauli(state, pauli).amplitudes)
     if abs(value.imag) > NORM_TOL:
@@ -204,24 +201,24 @@ def measurement_distributions(state: StateVector, rows: np.ndarray, cumulative: 
         yield table
 
 
-def measurement_distribution(state: StateVector, basis: MeasurementBasis) -> np.ndarray:
-    """Exact outcome probabilities of measuring every qubit in ``basis``.
+def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
+    """Exact outcome probabilities of measuring every qubit in the basis word ``basis`` (over XYZ).
 
     Entry k is the probability of the outcome whose qubit-i readout is
     ``sigmas_from_index(k, n)[i]`` (bit 0 of the index -> +1, bit 1 -> -1,
     qubit 0 as the most significant bit). Entries sum to 1 within 1e-10.
     The one-row case of ``measurement_distributions``.
     """
-    return next(measurement_distributions(state, basis.codes[None]))
+    return next(measurement_distributions(state, letter_codes(basis)[None]))
 
 
-def sample_measurement(state: StateVector, basis: MeasurementBasis, rng: np.random.Generator) -> np.ndarray:
+def sample_measurement(state: StateVector, basis: str, rng: np.random.Generator) -> np.ndarray:
     """Measure every qubit of ``state`` in ``basis``: one inverse-CDF draw, as ``sigmas_from_index`` readouts.
 
     The state is re-prepared for every call, so sampling is a pure
     function of (state, basis, rng stream).
     """
-    cumulative = next(measurement_distributions(state, basis.codes[None], cumulative=True))
+    cumulative = next(measurement_distributions(state, letter_codes(basis)[None], cumulative=True))
     return sigmas_from_index(int(np.searchsorted(cumulative, rng.random(), side="right")), state.n)
 
 
@@ -244,6 +241,8 @@ def ground_state(
     The Krylov basis keeps one 16 * 2^n-byte vector per iteration: 64 KiB
     at 12 qubits, 16 MiB at 20 qubits.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if hamiltonian.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"ground_state supports at most {MAX_TABLE_QUBITS} qubits")
     if hamiltonian.n_terms == 0:
@@ -298,9 +297,6 @@ def ground_state(
         offdiag.append(beta)
         basis_vectors.append(w / beta)
         w = _apply_compiled(basis_vectors[-1], groups)
-    raise GroundStateConvergenceError(
-        f"Lanczos ran no iteration (max_iter={max_iter})", best_energy=np.inf, best_residual=np.inf
-    )
 
 
 def load_state(text: str, n: int) -> StateVector:

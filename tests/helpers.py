@@ -17,8 +17,6 @@ import numpy as np
 from pauli_shadows import (
     CapacityError,
     Hamiltonian,
-    MeasurementBasis,
-    PauliOp,
     StateVector,
     closed_form_distribution,
     hamiltonian_expectation,
@@ -59,7 +57,7 @@ def dense_hamiltonian(hamiltonian: Hamiltonian) -> np.ndarray:
     dim = 2**hamiltonian.n
     matrix = hamiltonian.offset * np.eye(dim, dtype=complex)
     for alpha, pauli in hamiltonian.terms:
-        matrix += alpha * dense_pauli(str(pauli))
+        matrix += alpha * dense_pauli(pauli)
     return matrix
 
 
@@ -101,15 +99,15 @@ def reshape_loop_probs(amplitudes: np.ndarray, codes) -> np.ndarray:
     return probs
 
 
-def all_bases(n: int) -> list[MeasurementBasis]:
-    return [MeasurementBasis("".join(w)) for w in itertools.product("XYZ", repeat=n)]
+def all_bases(n: int) -> list[str]:
+    return ["".join(w) for w in itertools.product("XYZ", repeat=n)]
 
 
-def product_of_sigmas(index: int, n: int, pauli: PauliOp) -> int:
+def product_of_sigmas(index: int, n: int, pauli: str) -> int:
     """±1 product of the outcome's readouts over the string's non-I qubits."""
     product = 1
-    for qubit, code in enumerate(pauli.codes):
-        if code == 0:
+    for qubit, letter in enumerate(pauli):
+        if letter == "I":
             continue
         bit = (index >> (n - 1 - qubit)) & 1
         product *= 1 - 2 * bit
@@ -157,8 +155,7 @@ def exact_adaptive_distribution(
     def stage_distribution(order, chosen, stage):
         qubit = order[stage]
         masses = {"X": 0.0, "Y": 0.0, "Z": 0.0}
-        for alpha, pauli in hamiltonian.terms:
-            letters = str(pauli)
+        for alpha, letters in hamiltonian.terms:
             if letters[qubit] == "I":
                 continue
             if any(
@@ -255,7 +252,7 @@ def random_hamiltonian(
         if word not in terms:
             sign = 1.0 if rng.random() < 0.5 else -1.0
             terms[word] = sign * float(rng.uniform(*coeff_range))
-    return Hamiltonian(n, [(alpha, PauliOp(word)) for word, alpha in terms.items()])
+    return Hamiltonian(n, [(alpha, word) for word, alpha in terms.items()])
 
 
 def random_state_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -278,11 +275,11 @@ def reference_estimate(
     sums = [0] * hamiltonian.n_terms
     counts = [0] * hamiltonian.n_terms
     for _ in range(shots):
-        basis = str(sampler.sample(rng))
+        basis = sampler.sample(rng)
         cumulative = np.cumsum(dense_measurement_probs(state.amplitudes, basis))
         index = int(np.searchsorted(cumulative / cumulative[-1], rng.random(), side="right"))
         for term, (_, pauli) in enumerate(hamiltonian.terms):
-            if covers_reference(basis, str(pauli)):
+            if covers_reference(basis, pauli):
                 sums[term] += product_of_sigmas(index, n, pauli)
                 counts[term] += 1
     energy = hamiltonian.offset + sum(
@@ -292,12 +289,12 @@ def reference_estimate(
     return energy, sums, counts
 
 
-def coverage_probability(pd, pauli: PauliOp) -> float:
+def coverage_probability(pd, pauli: str) -> float:
     """Probability that a basis drawn from the (n, 3) table ``pd`` covers ``pauli``."""
     prob = 1.0
-    for qubit, code in enumerate(pauli.codes):
-        if code != CODE_I:
-            prob *= float(pd[qubit][code - 1])
+    for qubit, letter in enumerate(pauli):
+        if letter != "I":
+            prob *= float(pd[qubit]["XYZ".index(letter)])
     return prob
 
 
@@ -334,7 +331,7 @@ def exact_single_shot_variance(hamiltonian: Hamiltonian, state: StateVector, pd)
     # Sign of each term's product for every outcome index: parity of the
     # minus-one readouts at the term's non-identity positions.
     term_masks = np.array(
-        [sum(1 << (n - 1 - q) for q in range(n) if p.codes[q] != CODE_I) for p in hamiltonian.paulis],
+        [sum(1 << (n - 1 - q) for q in range(n) if p[q] != "I") for p in hamiltonian.paulis],
         dtype=np.int64,
     )
     sign_table = 1.0 - 2.0 * (np.bitwise_count(outcome_indices[:, None] & term_masks[None, :]) & 1)
@@ -342,13 +339,13 @@ def exact_single_shot_variance(hamiltonian: Hamiltonian, state: StateVector, pd)
     mean = 0.0
     second_moment = 0.0
     for letters in itertools.product((1, 2, 3), repeat=n):
-        basis = MeasurementBasis(np.array(letters, dtype=np.uint8))
+        basis = "".join("IXYZ"[code] for code in letters)
         basis_prob = 1.0
         for qubit, code in enumerate(letters):
             basis_prob *= float(pd[qubit][code - 1])
         if basis_prob == 0.0:
             continue
-        covered = ~((codes != CODE_I) & (codes != basis.codes)).any(axis=1)
+        covered = ~((codes != CODE_I) & (codes != np.array(letters))).any(axis=1)
         if covered.any():
             weights = coeffs[covered] / coverages[covered]
             estimates = hamiltonian.offset + sign_table[:, covered] @ weights

@@ -81,7 +81,7 @@ class TestRunBenchmark:
         report = run_benchmark(config)
         h = parse_hamiltonian(path.read_text())
         closed_form = math.sqrt(
-            sum(a * a * 3.0 ** p.weight() for a, p in h.terms) / 400
+            sum(a * a * 3.0 ** (len(p) - p.count("I")) for a, p in h.terms) / 400
         )
         assert report.predicted_error == pytest.approx(closed_form, rel=1e-12)
 

@@ -124,17 +124,30 @@ class TestErrors:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
-    def test_overflowing_aps_masses(self, tmp_path, capsys):
-        # 1e200 squares to inf: aps must stop with a diagnostic, not draw X from NaN odds.
+    @staticmethod
+    def _estimate_overflowing(tmp_path, method):
         ham = tmp_path / "big.ham"
         ham.write_text("1e200 ZI\n1.0 XX\n0.5 IY\n")
         state = tmp_path / "s.state"
         state.write_text("1 0\n0 0\n0 0\n0 0\n")
         out = tmp_path / "r.json"
         code = run_cli(
-            ["estimate", "--hamiltonian", ham, "--method", "aps", "--shots", 20, "--reps", 2,
+            ["estimate", "--hamiltonian", ham, "--method", method, "--shots", 20, "--reps", 2,
              "--state", state, "--out", out]
         )
+        return code, out
+
+    def test_overflowing_aps_masses(self, tmp_path, capsys):
+        # 1e200 squares to inf: aps must stop with a diagnostic, not draw X from NaN odds.
+        code, out = self._estimate_overflowing(tmp_path, "aps")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_cs_masses(self, tmp_path, capsys):
+        # Every term is covered with probability 1/9 or more, so an infinite
+        # predicted error would be wrong: cs stops with the same diagnostic.
+        code, out = self._estimate_overflowing(tmp_path, "cs")
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from pauli_shadows import (
     AdaptiveBasisSampler,
     CapacityError,
-    MeasurementBasis,
-    PauliOp,
     ProductBasisSampler,
     StateVector,
     estimate_energy,
@@ -24,7 +22,7 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows.estimation import _fold
-from pauli_shadows.paulis import covers
+from pauli_shadows.paulis import covers, letter_codes
 
 from helpers import (
     BELL_AMPLITUDES,
@@ -44,8 +42,8 @@ def z_pd(n):
 
 def fold(terms, shots):
     """``_fold`` over term strings and (basis, outcome index) shots, as plain lists."""
-    codes = np.stack([PauliOp(word).codes for word in terms])
-    letters = np.stack([MeasurementBasis(basis).codes for basis, _ in shots])
+    codes = np.stack([letter_codes(word) for word in terms])
+    letters = np.stack([letter_codes(basis) for basis, _ in shots])
     outcomes = np.array([outcome for _, outcome in shots], dtype=np.int64)
     sums, counts = _fold(codes, letters, outcomes)
     return sums.tolist(), counts.tolist()
@@ -114,7 +112,7 @@ class TestEstimateEnergy:
         state = StateVector.zero_state(1)
         rng = np.random.default_rng(3)
         result = estimate_energy(h, state, 50, ProductBasisSampler(z_pd(1)), rng)
-        assert result.uncovered_terms == [PauliOp("X")]
+        assert result.uncovered_terms == ["X"]
         assert result.energy == 0.5  # Z reads +1 every shot; X contributes 0
 
     def test_seed_replay_is_bit_identical(self):
@@ -224,24 +222,23 @@ class TestConditionalMeans:
             pd = rng.dirichlet((1.5, 1.5, 1.5), size=n)
             for word_codes in np.ndindex(*(4,) * n):
                 word = "".join("IXYZ"[c] for c in word_codes)
-                pauli = PauliOp(word)
-                cover_prob = coverage_probability(pd, pauli)
+                cover_prob = coverage_probability(pd, word)
                 if cover_prob <= 0.0:
                     continue
                 weighted = 0.0
                 total = 0.0
                 for basis in all_bases(n):
-                    if not covers(basis, pauli):
+                    if not covers(basis, word):
                         continue
                     basis_prob = 1.0
                     for q in range(n):
-                        basis_prob *= pd[q][basis.codes[q] - 1]
+                        basis_prob *= pd[q]["XYZ".index(basis[q])]
                     probs = measurement_distribution(state, basis)
-                    inner = sum(p * product_of_sigmas(i, n, pauli) for i, p in enumerate(probs))
+                    inner = sum(p * product_of_sigmas(i, n, word) for i, p in enumerate(probs))
                     weighted += basis_prob * inner
                     total += basis_prob
                 assert total == pytest.approx(cover_prob, abs=1e-12)
-                assert weighted / total == pytest.approx(expectation(state, pauli), abs=1e-10)
+                assert weighted / total == pytest.approx(expectation(state, word), abs=1e-10)
 
     def test_adaptive_running_means_are_unbiased(self):
         # APS bases are not product-distributed, but coverage still only
@@ -288,7 +285,7 @@ class TestExactVariance:
 
         rng = np.random.default_rng(8)
         bases = all_bases(1)
-        coverages = {str(p): coverage_probability(pd, p) for p in h.paulis}
+        coverages = {p: coverage_probability(pd, p) for p in h.paulis}
         estimate_table = np.zeros((3, 2))
         prob_table = np.zeros((3, 2))
         for b_index, basis in enumerate(bases):
@@ -300,7 +297,7 @@ class TestExactVariance:
                         value += (
                             alpha
                             * product_of_sigmas(o_index, 1, pauli)
-                            / coverages[str(pauli)]
+                            / coverages[pauli]
                         )
                 estimate_table[b_index, o_index] = value
 

@@ -1,7 +1,5 @@
 """Tests for Pauli strings, covering, and Hamiltonian parsing."""
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +9,13 @@ from pauli_shadows import (
     EmptyHamiltonianError,
     Hamiltonian,
     HamiltonianFormatError,
-    MeasurementBasis,
-    PauliOp,
+    StateVector,
     load_hamiltonian,
+    measurement_distribution,
     parse_hamiltonian,
+    sample_measurement,
 )
-from pauli_shadows.paulis import covers, serialize_hamiltonian
+from pauli_shadows.paulis import covers, letter_codes, serialize_hamiltonian
 
 from helpers import all_bases, coverage_count, covers_reference
 
@@ -25,66 +24,59 @@ basis_words = st.text(alphabet="XYZ", min_size=1, max_size=6)
 
 
 class TestPauliOp:
-    def test_letters_roundtrip(self):
-        assert str(PauliOp("XIZY")) == "XIZY"
+    """A Pauli operator is a word over IXYZ; ``letter_codes`` checks it and gives its codes."""
 
-    def test_weight(self):
-        assert PauliOp("III").weight() == 0
-        assert PauliOp("XIZ").weight() == 2
-        assert PauliOp("YYYY").weight() == 4
+    def test_letters_roundtrip(self):
+        codes = letter_codes("XIZY")
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [1, 0, 3, 2]
+        assert "".join("IXYZ"[c] for c in codes) == "XIZY"
 
     def test_rejects_bad_letters(self):
-        with pytest.raises(ValueError):
-            PauliOp("XQ")
-        with pytest.raises(ValueError):
-            PauliOp("")
-        with pytest.raises(ValueError):
-            PauliOp([0, 4])
+        for bad in ("XQ", "xz", "X Z", "XÅ"):
+            with pytest.raises(ValueError, match="invalid Pauli letter"):
+                letter_codes(bad)
 
-    def test_equality_and_hash(self):
-        assert PauliOp("XI") == PauliOp([1, 0])
-        assert PauliOp("XI") != PauliOp("IX")
-        assert hash(PauliOp("XYZ")) == hash(PauliOp("XYZ"))
-        assert {PauliOp("XY"): 1}[PauliOp("XY")] == 1
+    def test_rejects_empty_word(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            letter_codes("")
+
+    def test_rejects_non_str(self):
+        for not_a_word in ([0, 3], np.array([1, 2], dtype=np.uint8), b"XZ", None, 3):
+            with pytest.raises(ValueError, match="nonempty str"):
+                letter_codes(not_a_word)
 
     def test_codes_are_read_only(self):
-        p = PauliOp("XY")
+        codes = letter_codes("XY")
         with pytest.raises(ValueError):
-            p.codes[0] = 2
+            codes[0] = 2
 
 
 class TestMeasurementBasis:
+    """A measurement basis is a word over XYZ."""
+
     def test_rejects_identity(self):
+        state = StateVector.zero_state(3)
         with pytest.raises(ValueError):
-            MeasurementBasis("XIZ")
+            measurement_distribution(state, "XIZ")
+        with pytest.raises(ValueError):
+            sample_measurement(state, "XIZ", np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            covers("XIZ", "XII")
 
     def test_letters(self):
-        assert str(MeasurementBasis("ZYX")) == "ZYX"
-
-
-class TestLetterStrings:
-    @pytest.mark.parametrize("letters", [PauliOp("XIZY"), MeasurementBasis("ZYX")])
-    def test_pickle_round_trip_keeps_equality_and_hash(self, letters):
-        copy = pickle.loads(pickle.dumps(letters))
-        assert type(copy) is type(letters)
-        assert copy == letters
-        assert hash(copy) == hash(letters)
-
-    def test_pauli_and_basis_never_compare_equal(self):
-        assert PauliOp("XY") != MeasurementBasis("XY")
-        assert MeasurementBasis("XY") != PauliOp("XY")
-        assert repr(MeasurementBasis("XY")) == "MeasurementBasis('XY')"
+        assert letter_codes("ZYX").tolist() == [3, 2, 1]
 
 
 class TestCovers:
     def test_examples(self):
-        assert covers(MeasurementBasis("XYZ"), PauliOp("XIZ")) is True
-        assert covers(MeasurementBasis("ZYZ"), PauliOp("XIZ")) is False
-        assert covers(MeasurementBasis("XYZ"), PauliOp("III")) is True
+        assert covers("XYZ", "XIZ") is True
+        assert covers("ZYZ", "XIZ") is False
+        assert covers("XYZ", "III") is True
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            covers(MeasurementBasis("XY"), PauliOp("XYZ"))
+            covers("XY", "XYZ")
 
     @given(basis_words, st.data())
     def test_matches_reference(self, basis_word, data):
@@ -92,54 +84,58 @@ class TestCovers:
             st.text(alphabet="IXYZ", min_size=len(basis_word), max_size=len(basis_word))
         )
         expected = covers_reference(basis_word, pauli_word)
-        assert covers(MeasurementBasis(basis_word), PauliOp(pauli_word)) == expected
+        assert covers(basis_word, pauli_word) == expected
 
     @given(basis_words, st.data())
     def test_monotone_under_identity_substitution(self, basis_word, data):
         n = len(basis_word)
         pauli_word = data.draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
-        basis = MeasurementBasis(basis_word)
-        pauli = PauliOp(pauli_word)
-        if not covers(basis, pauli):
+        if not covers(basis_word, pauli_word):
             return
         for i, letter in enumerate(pauli_word):
             if letter != "I":
-                weakened = PauliOp(pauli_word[:i] + "I" + pauli_word[i + 1 :])
-                assert covers(basis, weakened)
+                weakened = pauli_word[:i] + "I" + pauli_word[i + 1 :]
+                assert covers(basis_word, weakened)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_uniform_coverage_probability_is_three_to_minus_weight(self, n):
         rng = np.random.default_rng(202 + n)
         for _ in range(5):
             word = "".join(rng.choice(list("IXYZ"), size=n))
-            pauli = PauliOp(word)
-            covering = sum(covers(b, pauli) for b in all_bases(n))
-            assert covering == 3 ** (n - pauli.weight())
-            assert coverage_count(word, n) * 3 ** pauli.weight() == 1
+            weight = n - word.count("I")
+            covering = sum(covers(b, word) for b in all_bases(n))
+            assert covering == 3 ** (n - weight)
+            assert coverage_count(word, n) * 3**weight == 1
 
 
 class TestHamiltonian:
     def test_basic_construction(self):
-        h = Hamiltonian(2, [(0.5, PauliOp("XZ")), (-0.25, PauliOp("ZI"))])
+        h = Hamiltonian(2, [(0.5, "XZ"), (-0.25, "ZI")])
         assert h.n == 2 and h.n_terms == 2 and h.offset == 0.0
         np.testing.assert_allclose(h.coeffs, [0.5, -0.25])
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(ValueError):
-            Hamiltonian(1, [(0.0, PauliOp("X"))])
+            Hamiltonian(1, [(0.0, "X")])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            Hamiltonian(1, [(1.0, PauliOp("X")), (2.0, PauliOp("X"))])
+            Hamiltonian(1, [(1.0, "X"), (2.0, "X")])
+
+    def test_rejects_bad_letters(self):
+        with pytest.raises(ValueError):
+            Hamiltonian(2, [(1.0, "XQ")])
+        with pytest.raises(ValueError):
+            Hamiltonian(2, [(1.0, "xz")])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            Hamiltonian(2, [(1.0, PauliOp("X"))])
+            Hamiltonian(2, [(1.0, "X")])
 
     def test_identity_goes_to_offset(self):
         with pytest.raises(ValueError):
-            Hamiltonian(2, [(1.0, PauliOp("II"))])
-        h = Hamiltonian(2, [(1.0, PauliOp("XI"))], offset=0.5)
+            Hamiltonian(2, [(1.0, "II")])
+        h = Hamiltonian(2, [(1.0, "XI")], offset=0.5)
         assert h.offset == 0.5
 
 
@@ -147,7 +143,7 @@ class TestParseHamiltonian:
     def test_two_term_example(self):
         h = parse_hamiltonian("0.5 XZ\n-0.25 ZI")
         assert h.n == 2
-        assert h.terms == ((0.5, PauliOp("XZ")), (-0.25, PauliOp("ZI")))
+        assert h.terms == ((0.5, "XZ"), (-0.25, "ZI"))
 
     def test_cancellation_is_an_error(self):
         with pytest.raises(EmptyHamiltonianError):
@@ -163,12 +159,12 @@ class TestParseHamiltonian:
 
     def test_merges_duplicates(self):
         h = parse_hamiltonian("0.5 XZ\n0.25 XZ")
-        assert h.terms == ((0.75, PauliOp("XZ")),)
+        assert h.terms == ((0.75, "XZ"),)
 
     def test_identity_term_becomes_offset(self):
         h = parse_hamiltonian("2.5 II\n1.0 XI")
         assert h.offset == 2.5
-        assert h.paulis == (PauliOp("XI"),)
+        assert h.paulis == ("XI",)
 
     def test_identity_only_file_is_valid(self):
         h = parse_hamiltonian("0.75 III")
@@ -176,7 +172,7 @@ class TestParseHamiltonian:
 
     def test_drops_tiny_merged_coefficients(self):
         h = parse_hamiltonian("1.0 XI\n-0.9999999999999999 XI\n1.0 ZI")
-        assert h.paulis == (PauliOp("ZI"),)
+        assert h.paulis == ("ZI",)
 
     def test_bad_letter_reports_line(self):
         with pytest.raises(HamiltonianFormatError) as excinfo:
@@ -241,6 +237,6 @@ class TestRoundTrip:
         second = parse_hamiltonian(serialize_hamiltonian(first))
         assert second.n == first.n
         assert second.offset == first.offset
-        assert dict((str(p), a) for a, p in second.terms) == dict(
-            (str(p), a) for a, p in first.terms
+        assert dict((p, a) for a, p in second.terms) == dict(
+            (p, a) for a, p in first.terms
         )

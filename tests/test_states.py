@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from pauli_shadows import (
     GroundStateConvergenceError,
     Hamiltonian,
-    MeasurementBasis,
-    PauliOp,
     ProductBasisSampler,
     StateVector,
     estimate_energy,
@@ -70,27 +68,27 @@ class TestStateVector:
 
 class TestApplyPauli:
     def test_z_on_zero(self):
-        out = apply_pauli(StateVector.zero_state(1), PauliOp("Z"))
+        out = apply_pauli(StateVector.zero_state(1), "Z")
         np.testing.assert_allclose(out.amplitudes, [1.0, 0.0])
 
     def test_x_on_zero(self):
-        out = apply_pauli(StateVector.zero_state(1), PauliOp("X"))
+        out = apply_pauli(StateVector.zero_state(1), "X")
         np.testing.assert_allclose(out.amplitudes, [0.0, 1.0])
 
     def test_y_on_zero(self):
-        out = apply_pauli(StateVector.zero_state(1), PauliOp("Y"))
+        out = apply_pauli(StateVector.zero_state(1), "Y")
         np.testing.assert_allclose(out.amplitudes, [0.0, 1.0j])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_pauli(StateVector.zero_state(2), PauliOp("X"))
+            apply_pauli(StateVector.zero_state(2), "X")
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         for n in range(1, 7):
             for word in ["I" * n] + ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(10)]:
                 amps = random_state_amplitudes(rng, n)
-                out = apply_pauli(StateVector(amps), PauliOp(word))
+                out = apply_pauli(StateVector(amps), word)
                 np.testing.assert_allclose(out.amplitudes, dense_pauli(word) @ amps, atol=1e-12)
 
     def test_involution(self):
@@ -100,20 +98,20 @@ class TestApplyPauli:
             amps = random_state_amplitudes(rng, n)
             word = "".join(rng.choice(list("IXYZ"), size=n))
             state = StateVector(amps)
-            twice = apply_pauli(apply_pauli(state, PauliOp(word)), PauliOp(word))
+            twice = apply_pauli(apply_pauli(state, word), word)
             np.testing.assert_allclose(twice.amplitudes, amps, atol=1e-12)
 
 
 class TestExpectation:
     def test_zero_state_z(self):
-        assert expectation(StateVector.zero_state(1), PauliOp("Z")) == pytest.approx(1.0)
+        assert expectation(StateVector.zero_state(1), "Z") == pytest.approx(1.0)
 
     def test_plus_state_x(self):
-        assert expectation(plus_state(), PauliOp("X")) == pytest.approx(1.0)
+        assert expectation(plus_state(), "X") == pytest.approx(1.0)
 
     def test_bell_correlations(self):
-        assert expectation(bell_state(), PauliOp("XX")) == pytest.approx(1.0)
-        assert expectation(bell_state(), PauliOp("ZZ")) == pytest.approx(1.0)
+        assert expectation(bell_state(), "XX") == pytest.approx(1.0)
+        assert expectation(bell_state(), "ZZ") == pytest.approx(1.0)
 
     def test_matches_dense_oracle_and_range(self):
         rng = np.random.default_rng(13)
@@ -121,7 +119,7 @@ class TestExpectation:
             n = trial % 6 + 1
             amps = random_state_amplitudes(rng, n)
             word = "I" * n if trial < 6 else "".join(rng.choice(list("IXYZ"), size=n))
-            value = expectation(StateVector(amps), PauliOp(word))
+            value = expectation(StateVector(amps), word)
             oracle = np.vdot(amps, dense_pauli(word) @ amps).real
             assert value == pytest.approx(oracle, abs=1e-10)
             assert -1.0 <= value <= 1.0
@@ -129,21 +127,21 @@ class TestExpectation:
 
 class TestMeasurementDistribution:
     def test_zero_state_z(self):
-        probs = measurement_distribution(StateVector.zero_state(1), MeasurementBasis("Z"))
+        probs = measurement_distribution(StateVector.zero_state(1), "Z")
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_plus_state_z(self):
-        probs = measurement_distribution(plus_state(), MeasurementBasis("Z"))
+        probs = measurement_distribution(plus_state(), "Z")
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_bell_xx(self):
         # Exact four-amplitude computation: rotating both qubits by the
         # X-frame map sends (|00>+|11>)/sqrt(2) back to itself.
-        probs = measurement_distribution(bell_state(), MeasurementBasis("XX"))
+        probs = measurement_distribution(bell_state(), "XX")
         np.testing.assert_allclose(probs, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_bell_zz(self):
-        probs = measurement_distribution(bell_state(), MeasurementBasis("ZZ"))
+        probs = measurement_distribution(bell_state(), "ZZ")
         np.testing.assert_allclose(probs, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_sigma_index_convention(self):
@@ -158,7 +156,7 @@ class TestMeasurementDistribution:
             for basis in all_bases(n):
                 probs = measurement_distribution(state, basis)
                 np.testing.assert_allclose(
-                    probs, dense_measurement_probs(amps, str(basis)), atol=1e-12
+                    probs, dense_measurement_probs(amps, basis), atol=1e-12
                 )
                 assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -173,13 +171,12 @@ class TestMeasurementDistribution:
                 probs = measurement_distribution(state, basis)
                 for word_codes in np.ndindex(*(4,) * n):
                     word = "".join("IXYZ"[c] for c in word_codes)
-                    pauli = PauliOp(word)
-                    if not all(w == "I" or w == b for w, b in zip(word, str(basis))):
+                    if not all(w == "I" or w == b for w, b in zip(word, basis)):
                         continue
                     weighted = sum(
-                        p * product_of_sigmas(i, n, pauli) for i, p in enumerate(probs)
+                        p * product_of_sigmas(i, n, word) for i, p in enumerate(probs)
                     )
-                    assert weighted == pytest.approx(expectation(state, pauli), abs=1e-10)
+                    assert weighted == pytest.approx(expectation(state, word), abs=1e-10)
 
 
 @st.composite
@@ -214,7 +211,7 @@ class TestOutcomeTables:
             oracle = reshape_loop_probs(state.amplitudes, row)
             assert np.array_equal(table, oracle)
             assert np.array_equal(cumulative, np.cumsum(oracle) / np.cumsum(oracle)[-1])
-            assert np.array_equal(measurement_distribution(state, MeasurementBasis(row)), oracle)
+            assert np.array_equal(measurement_distribution(state, "".join("IXYZ"[c] for c in row)), oracle)
 
     def test_sorted_rows_share_rotated_prefixes(self, monkeypatch):
         # estimate_energy rotates each node of the trie of its distinct
@@ -242,7 +239,7 @@ class TestOutcomeTables:
         with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
             next(states.measurement_distributions(zero, np.full((1, 3), 3, dtype=np.uint8)))
         with pytest.raises(ValueError):
-            sample_measurement(zero, MeasurementBasis("ZZZ"), np.random.default_rng(0))
+            sample_measurement(zero, "ZZZ", np.random.default_rng(0))
 
     def test_rows_must_hold_basis_letters(self):
         # Codes 0 (I) and 4 name no measurement basis; neither may be rotated as X.
@@ -256,14 +253,14 @@ class TestSampleMeasurement:
     def test_deterministic_z(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            outcome = sample_measurement(StateVector.zero_state(1), MeasurementBasis("Z"), rng)
+            outcome = sample_measurement(StateVector.zero_state(1), "Z", rng)
             assert list(outcome) == [1]
 
     def test_zero_state_x_is_unbiased(self):
         rng = np.random.default_rng(1)
         draws = 20000
         plus = sum(
-            sample_measurement(StateVector.zero_state(1), MeasurementBasis("X"), rng)[0] == 1
+            sample_measurement(StateVector.zero_state(1), "X", rng)[0] == 1
             for _ in range(draws)
         )
         se = math.sqrt(draws * 0.25)
@@ -272,7 +269,7 @@ class TestSampleMeasurement:
     def test_bell_zz_outcomes(self):
         rng = np.random.default_rng(2)
         state = bell_state()
-        basis = MeasurementBasis("ZZ")
+        basis = "ZZ"
         counts = {(1, 1): 0, (-1, -1): 0}
         draws = 20000
         for _ in range(draws):
@@ -287,7 +284,7 @@ class TestSampleMeasurement:
         rng = np.random.default_rng(3)
         amps = random_state_amplitudes(rng, 3)
         state = StateVector(amps)
-        basis = MeasurementBasis("XYZ")
+        basis = "XYZ"
         probs = measurement_distribution(state, basis)
         draws = 30000
         counts = np.zeros(8)
@@ -309,7 +306,7 @@ class TestGroundState:
     def test_single_qubit_x(self):
         energy, state = ground_state(parse_hamiltonian("1.0 X"))
         assert energy == pytest.approx(-1.0, abs=1e-9)
-        assert expectation(state, PauliOp("X")) == pytest.approx(-1.0, abs=1e-9)
+        assert expectation(state, "X") == pytest.approx(-1.0, abs=1e-9)
 
     def test_two_qubit_matches_dense_oracle(self):
         h = parse_hamiltonian("0.5 ZZ\n0.3 XI")
@@ -358,6 +355,12 @@ class TestGroundState:
         assert excinfo.value.best_residual > 1e-12
         assert math.isfinite(excinfo.value.best_energy)
 
+    def test_rejects_max_iter_below_one(self):
+        h = Hamiltonian(1, [(1.0, "Z")])
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                ground_state(h, max_iter=max_iter)
+
     def test_one_application_per_iteration(self, monkeypatch):
         # Each Lanczos iteration solves the tridiagonal once (eigh) and may
         # apply H once; one more application confirms the returned pair.
@@ -393,7 +396,7 @@ def _operator_test_hamiltonian(rng: np.random.Generator, n: int, n_terms: int) -
     words.add("Z" * n)  # with the single-Z strings: flip mask 0, sign support on every qubit
     words.update("I" * q + "Z" + "I" * (n - q - 1) for q in range(n))
     words.discard("I" * n)
-    return Hamiltonian(n, [(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0), PauliOp(w)) for w in sorted(words)])
+    return Hamiltonian(n, [(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0), w) for w in sorted(words)])
 
 
 class TestCompiledOperator:
@@ -434,7 +437,7 @@ class TestLoadState:
 
     def test_comments_and_imaginary_parts(self):
         state = load_state("# a Y eigenstate\n0.7071067811865476 0\n0 0.7071067811865476\n", 1)
-        assert expectation(state, PauliOp("Y")) == pytest.approx(1.0, abs=1e-9)
+        assert expectation(state, "Y") == pytest.approx(1.0, abs=1e-9)
 
     def test_first_bad_line_is_named(self):
         with pytest.raises(ValueError, match="line 4: expected"):
