@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -177,6 +176,8 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
 
     reports = []
     workers = min(config.workers, config.repetitions)
+    if workers > 1:  # the pool's import alone costs a one-worker run memory and start-up time
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for method in methods:
             state_seconds = time.perf_counter() - started

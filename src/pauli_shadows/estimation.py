@@ -16,7 +16,7 @@ from typing import Protocol
 import numpy as np
 
 from .paulis import CODE_I, Hamiltonian
-from .states import StateVector, measurement_distributions
+from .states import StateVector, draw_outcomes
 
 # Cap on (shot, term) cells that one slice of the fold holds.
 _FOLD_CELLS = 1 << 14
@@ -93,13 +93,8 @@ def estimate_energy(
 
     Draws one (shots, ``sampler.uniforms`` + 1) block of uniforms: the
     sampler turns the leading columns of each row into that shot's
-    basis, and the last column draws its outcome. One stable sort puts
-    the shots in lexicographic order of their bases, so each distinct
-    basis is a run of shots; it gets one outcome table and one
-    inverse-CDF draw of all its outcomes, and its table is dropped
-    before the next one is built. ``measurement_distributions`` reuses
-    the rotated prefix each distinct basis shares with the one before.
-    One fold then turns all the shots into per-term sums and counts.
+    basis, ``draw_outcomes`` turns the last column into its outcome, and
+    one fold turns all the shots into per-term sums and counts.
     Deterministic given the inputs and the rng state; replaying a seed
     reproduces the result bit for bit.
     """
@@ -110,19 +105,7 @@ def estimate_energy(
 
     u = rng.random((shots, sampler.uniforms + 1))
     bases = sampler.bases(u[:, :-1])
-    if bases.shape != (shots, hamiltonian.n):
-        raise ValueError(
-            f"sampler must give one row of {hamiltonian.n} letter codes per shot, "
-            f"got shape {bases.shape}"
-        )
-    order = np.lexsort(bases.T[::-1])  # rows in lexicographic order, ties in draw order
-    bases, draws = bases[order], u[order, -1]
-    bounds = np.append(np.flatnonzero(np.r_[True, (bases[1:] != bases[:-1]).any(axis=1)]), shots)
-    tables = measurement_distributions(state, bases[bounds[:-1]], cumulative=True)
-    outcomes = np.empty(shots, dtype=np.int64)
-    for start, stop, cumulative in zip(bounds[:-1], bounds[1:], tables):
-        outcomes[start:stop] = np.searchsorted(cumulative, draws[start:stop], side="right")
-    sums, counts = _fold(hamiltonian.codes, bases, outcomes)
+    sums, counts = _fold(hamiltonian.codes, bases, draw_outcomes(state, bases, u[:, -1]))
 
     result = EstimationResult(
         energy=hamiltonian.offset,

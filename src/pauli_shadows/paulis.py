@@ -1,4 +1,4 @@
-"""Pauli words, the covering relation, and Hamiltonian file ingestion.
+"""Pauli words and Hamiltonian file ingestion.
 
 A Pauli word is a plain ``str`` over IXYZ, qubit 0 first, and a
 measurement basis is a word over XYZ; words compare, hash and print as
@@ -53,20 +53,6 @@ def letter_codes(word: str) -> np.ndarray:
         raise ValueError(f"invalid Pauli letter {rest[0]!r} in {word!r}")
     # A view of immutable bytes, so the array is read-only.
     return np.frombuffer(word.translate(_TO_CODE).encode(), dtype=np.uint8)
-
-
-def covers(basis: str, pauli: str) -> bool:
-    """True iff every non-identity letter of the word ``pauli`` matches the basis word.
-
-    A covered observable can be read off from the measurement record of
-    ``basis``; an uncovered one cannot.
-    """
-    b, p = letter_codes(basis), letter_codes(pauli)
-    if b.size != p.size:
-        raise ValueError(f"length mismatch: basis has {b.size} qubits, Pauli has {p.size}")
-    if not b.all():
-        raise ValueError(f"a measurement basis holds only X, Y and Z, got {basis!r}")
-    return bool(np.all((p == CODE_I) | (p == b)))
 
 
 class Hamiltonian:
@@ -185,16 +171,6 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     if not terms and offset == 0.0:
         raise EmptyHamiltonianError("all terms cancelled or fell below the merge threshold")
     return Hamiltonian(n, terms, offset=offset)
-
-
-def serialize_hamiltonian(hamiltonian: Hamiltonian) -> str:
-    """Render a Hamiltonian back into the text format parsed by `parse_hamiltonian`."""
-    lines = []
-    if hamiltonian.offset != 0.0:
-        lines.append(f"{hamiltonian.offset!r} {'I' * hamiltonian.n}")
-    for alpha, pauli in hamiltonian.terms:
-        lines.append(f"{alpha!r} {pauli}")
-    return "\n".join(lines) + "\n"
 
 
 def load_hamiltonian(path) -> Hamiltonian:

@@ -4,9 +4,9 @@
 flip groups and ``_apply_compiled`` applies them: one string for
 ``apply_pauli`` and ``expectation``, the whole Hamiltonian for
 ``hamiltonian_expectation`` and the matrix-free Lanczos solver
-``ground_state``. The generator ``measurement_distributions`` builds
-every product-basis outcome table; ``measurement_distribution`` and
-``sample_measurement`` (±1 int8 readouts) are its one-row case.
+``ground_state``. One rotation kernel, ``_rotate_leading``, serves the
+exact tables of ``measurement_distribution`` and ``sample_measurement``
+and the table-free ``draw_outcomes``.
 Amplitude index convention: qubit 0 is the most significant bit of the
 basis-state index.
 """
@@ -24,6 +24,8 @@ NORM_TOL = 1e-10
 # anything worse is treated as a corrupt file rather than renormalized.
 LOAD_NORM_TOL = 1e-4
 MAX_TABLE_QUBITS = 20
+# Cap on amplitudes that one block of shots of ``draw_outcomes`` holds at any qubit.
+_DRAW_CELLS = 1 << 18
 
 class CapacityError(ValueError):
     """The requested dense table would exceed the supported qubit count."""
@@ -146,59 +148,23 @@ def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> flo
 
 
 def _rotate_leading(psi: np.ndarray, code: int) -> np.ndarray:
-    """Rotate the leading qubit to the computational frame (times sqrt(2) unless Z) and make it last.
+    """Rotate the leading qubit of each row of a stack to the computational frame (times sqrt(2) unless Z).
 
-    The halves a (bit 0) and b (bit 1) become the columns of a (half, 2)
-    output: X is (a + b, a - b), Y the same after b *= -i, Z a plain move.
-    Every product is by ±1 or ±i, so each step is exact.
+    The halves a (bit 0) and b (bit 1) of each 2^m-long row become the
+    columns of a (..., 2^(m-1), 2) result: X gives (a + b, a - b), Y the
+    same after b *= -i, Z a plain move. Products by ±1 or ±i are exact.
     """
-    half = psi.size // 2
-    a, b = psi[:half], psi[half:]
-    out = np.empty((half, 2), dtype=np.complex128)
+    half = psi.shape[-1] // 2
+    a, b = psi[..., :half], psi[..., half:]
+    out = np.empty((*psi.shape[:-1], half, 2), dtype=np.complex128)
     if code == CODE_Z:
-        out[:, 0], out[:, 1] = a, b
+        out[..., 0], out[..., 1] = a, b
     else:
         if code == CODE_Y:
             b = b * -1j
-        np.add(a, b, out=out[:, 0])
-        np.subtract(a, b, out=out[:, 1])
-    return out.reshape(-1)
-
-
-_BASIS_CODES = frozenset((CODE_X, CODE_Y, CODE_Z))
-
-
-def measurement_distributions(state: StateVector, rows: np.ndarray, cumulative: bool = False):
-    """Yield the outcome table of each row of X/Y/Z letter codes (its normalized cumsum if ``cumulative``).
-
-    A table rotates the n qubits in turn with ``_rotate_leading``, which
-    leaves the amplitudes in their original order. A stack keeps the n + 1
-    partially rotated states (16 * 2^n bytes each), and each row restarts
-    at its first letter that differs from the previous row's, so rows in
-    lexicographic order share their rotated prefixes.
-    """
-    n = state.n
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"rows must have shape (k, {n}) for a {n}-qubit state, got {rows.shape}")
-    if n > MAX_TABLE_QUBITS:
-        raise CapacityError(f"outcome table needs 2^{n} entries; limit is 2^{MAX_TABLE_QUBITS}")
-    stack = [state.amplitudes]
-    previous: list[int] = []
-    for row in rows:
-        codes = row.tolist()
-        if not _BASIS_CODES.issuperset(codes):
-            raise ValueError(f"a measurement row holds only X/Y/Z letter codes, got {codes}")
-        depth = next((q for q, (old, new) in enumerate(zip(previous, codes)) if old != new), len(previous))
-        del stack[depth + 1 :]
-        for code in codes[depth:]:
-            stack.append(_rotate_leading(stack[-1], code))
-        previous = codes
-        table = np.abs(stack[-1]) ** 2
-        table *= 0.5 ** (n - codes.count(CODE_Z))  # the sqrt(2) per X/Y rotation, undone exactly
-        if cumulative:
-            table = np.cumsum(table)
-            table /= table[-1]
-        yield table
+        np.add(a, b, out=out[..., 0])
+        np.subtract(a, b, out=out[..., 1])
+    return out
 
 
 def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
@@ -207,9 +173,18 @@ def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
     Entry k is the probability of the outcome whose qubit-i readout is
     ``sigmas_from_index(k, n)[i]`` (bit 0 of the index -> +1, bit 1 -> -1,
     qubit 0 as the most significant bit). Entries sum to 1 within 1e-10.
-    The one-row case of ``measurement_distributions``.
     """
-    return next(measurement_distributions(state, letter_codes(basis)[None]))
+    codes = letter_codes(basis)
+    if codes.size != state.n or not codes.all():
+        raise ValueError(f"a basis of a {state.n}-qubit state is {state.n} letters over XYZ, got {basis!r}")
+    if state.n > MAX_TABLE_QUBITS:
+        raise CapacityError(f"outcome table needs 2^{state.n} entries; limit is 2^{MAX_TABLE_QUBITS}")
+    psi = state.amplitudes
+    for code in codes.tolist():
+        psi = _rotate_leading(psi, code).reshape(-1)  # the rotated qubit moves last
+    table = np.abs(psi) ** 2
+    table *= 0.5 ** (state.n - basis.count("Z"))  # the sqrt(2) per X/Y rotation, undone exactly
+    return table
 
 
 def sample_measurement(state: StateVector, basis: str, rng: np.random.Generator) -> np.ndarray:
@@ -218,8 +193,50 @@ def sample_measurement(state: StateVector, basis: str, rng: np.random.Generator)
     The state is re-prepared for every call, so sampling is a pure
     function of (state, basis, rng stream).
     """
-    cumulative = next(measurement_distributions(state, letter_codes(basis)[None], cumulative=True))
+    cumulative = np.cumsum(measurement_distribution(state, basis))
+    cumulative /= cumulative[-1]
     return sigmas_from_index(int(np.searchsorted(cumulative, rng.random(), side="right")), state.n)
+
+
+def draw_outcomes(state: StateVector, bases: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome index of each row of X/Y/Z letter codes in ``bases`` for its uniform in ``u``.
+
+    The index is drawn one qubit at a time, qubit 0 first, with no outcome
+    table. Shots that share a (letter, bit) prefix share one partly
+    rotated vector. A shot reads bit 1 when its ``u`` times the total mass
+    reaches the mass below its prefix plus the mass of bit 0; a zero-mass
+    branch is never taken. Blocks hold ``max(1, _DRAW_CELLS >> n)`` shots.
+    """
+    if bases.ndim != 2 or bases.shape[1] != state.n or u.shape != bases.shape[:1]:
+        raise ValueError(f"bases must have shape (k, {state.n}) and u (k,), got {bases.shape}, {u.shape}")
+    if not ((bases >= CODE_X) & (bases <= CODE_Z)).all():
+        raise ValueError("a basis row holds only X/Y/Z letter codes")
+    if state.n > MAX_TABLE_QUBITS:
+        raise CapacityError(f"the outcome draw supports at most {MAX_TABLE_QUBITS} qubits")
+    draws = u * np.vdot(state.amplitudes, state.amplitudes).real  # u times the total mass
+    outcomes = np.zeros(len(bases), dtype=np.int64)
+    step = max(1, _DRAW_CELLS >> state.n)
+    for start in range(0, len(bases), step):
+        index = outcomes[start : start + step]
+        below = np.zeros(len(index))  # mass of the outcomes before each shot's prefix
+        vectors, scales = state.amplitudes.reshape(1, -1, 1), np.ones(1)  # (row, amplitude, bit)
+        node = np.zeros_like(index)  # 2 * row + bit of the vector each shot has reached
+        for column in bases[start : start + step].T.astype(np.int64):
+            keys, child = np.unique(column * (2 * len(vectors)) + node, return_inverse=True)
+            child = child.ravel()
+            codes, parents = np.divmod(keys, 2 * len(vectors))
+            children = np.empty((len(keys), vectors.shape[1] // 2, 2), dtype=np.complex128)
+            for code in set(codes.tolist()):  # not np.unique, which imports numpy.ma on first use
+                rows = codes == code
+                children[rows] = _rotate_leading(vectors[parents[rows] >> 1, :, parents[rows] & 1], code)
+            scales = scales[parents >> 1] * np.where(codes == CODE_Z, 1.0, 0.5)  # undo the sqrt(2) of X/Y
+            masses = (np.abs(children) ** 2).sum(axis=1) * scales[:, None]
+            mass0, mass1 = masses[child, 0], masses[child, 1]
+            bit = (mass1 > 0) & (draws[start : start + step] >= below + mass0)  # draws >= below always
+            below += np.where(bit, mass0, 0.0)
+            index[:] = 2 * index + bit
+            vectors, node = children, 2 * child + bit
+    return outcomes
 
 
 _LANCZOS_SEED = 0x1A2C05

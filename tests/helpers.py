@@ -119,6 +119,16 @@ def covers_reference(basis_letters: str, pauli_letters: str) -> bool:
     return all(p == "I" or p == b for b, p in zip(basis_letters, pauli_letters))
 
 
+def serialize_hamiltonian(hamiltonian: Hamiltonian) -> str:
+    """Render a Hamiltonian back into the text format parsed by `parse_hamiltonian`."""
+    lines = []
+    if hamiltonian.offset != 0.0:
+        lines.append(f"{hamiltonian.offset!r} {'I' * hamiltonian.n}")
+    for alpha, pauli in hamiltonian.terms:
+        lines.append(f"{alpha!r} {pauli}")
+    return "\n".join(lines) + "\n"
+
+
 def simplex_grid(step_count: int) -> np.ndarray:
     """All (p_x, p_y, p_z) with entries i/step_count summing to 1."""
     points = []

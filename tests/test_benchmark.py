@@ -185,21 +185,20 @@ class TestCompareMethods:
         assert compared == separate
 
     def test_one_pool_and_worker_count_does_not_change_json(self, tmp_path, monkeypatch):
+        import concurrent.futures
         from dataclasses import replace
-
-        from pauli_shadows import benchmark
 
         path = tmp_path / "h.ham"
         path.write_text("0.5 XZ\n-0.25 ZI\n0.3 YY\n")
         config = ExperimentConfig(hamiltonian_path=str(path), shots=200, repetitions=4, master_seed=9)
         pools = []
 
-        class CountingPool(benchmark.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         serial = reports_to_json(compare_methods(config))
         assert pools == []
         parallel = reports_to_json(compare_methods(replace(config, workers=2)))

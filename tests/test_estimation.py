@@ -22,12 +22,13 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows.estimation import _fold
-from pauli_shadows.paulis import covers, letter_codes
+from pauli_shadows.paulis import letter_codes
 
 from helpers import (
     BELL_AMPLITUDES,
     all_bases,
     coverage_probability,
+    covers_reference,
     exact_single_shot_variance,
     product_of_sigmas,
     random_hamiltonian,
@@ -228,7 +229,7 @@ class TestConditionalMeans:
                 weighted = 0.0
                 total = 0.0
                 for basis in all_bases(n):
-                    if not covers(basis, word):
+                    if not covers_reference(basis, word):
                         continue
                     basis_prob = 1.0
                     for q in range(n):
@@ -293,7 +294,7 @@ class TestExactVariance:
             for o_index in range(2):
                 value = 0.0
                 for alpha, pauli in h.terms:
-                    if covers(basis, pauli):
+                    if covers_reference(basis, pauli):
                         value += (
                             alpha
                             * product_of_sigmas(o_index, 1, pauli)

@@ -193,29 +193,56 @@ def sorted_basis_rows(draw):
     return n, np.array(sorted(rows), dtype=np.uint8)
 
 
-def _trie_nodes(rows) -> int:
-    """Distinct non-empty prefixes of the rows."""
-    return len({tuple(row[:depth]) for row in rows.tolist() for depth in range(1, len(row) + 1)})
-
-
 class TestOutcomeTables:
     @given(case=sorted_basis_rows(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_tables_match_reshape_loop_bit_for_bit(self, case, seed):
         n, rows = case
         state = StateVector(random_state_amplitudes(np.random.default_rng(seed), n))
-        tables = list(states.measurement_distributions(state, rows))
-        cumulatives = list(states.measurement_distributions(state, rows, cumulative=True))
-        assert len(tables) == len(cumulatives) == len(rows)
-        for row, table, cumulative in zip(rows, tables, cumulatives):
+        for row in rows:
             oracle = reshape_loop_probs(state.amplitudes, row)
-            assert np.array_equal(table, oracle)
-            assert np.array_equal(cumulative, np.cumsum(oracle) / np.cumsum(oracle)[-1])
             assert np.array_equal(measurement_distribution(state, "".join("IXYZ"[c] for c in row)), oracle)
 
-    def test_sorted_rows_share_rotated_prefixes(self, monkeypatch):
-        # estimate_energy rotates each node of the trie of its distinct
-        # bases once: one leading-qubit rotation per distinct prefix.
+    @given(
+        case=sorted_basis_rows(),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "basis", "sparse"]),
+        cells=st.sampled_from([None, 1, 64, 1024]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_draw_matches_searchsorted_on_oracle_table(self, case, seed, kind, cells):
+        # A basis state |k> read in Z, or a random state with zeroed
+        # amplitudes, has branches with p0 = 0 and p0 = 1; a small
+        # _DRAW_CELLS splits the shots into many blocks.
+        n, rows = case
+        rng = np.random.default_rng(seed)
+        amplitudes = random_state_amplitudes(rng, n)
+        if kind == "basis":
+            amplitudes = np.zeros(2**n)
+            amplitudes[rng.integers(2**n)] = 1.0
+        elif kind == "sparse":
+            amplitudes[rng.random(2**n) < 0.7] = 0.0
+            amplitudes[rng.integers(2**n)] = 1.0
+            amplitudes /= np.linalg.norm(amplitudes)
+        state = StateVector(amplitudes)
+        bases = rows[rng.integers(len(rows), size=200)]
+        u = rng.random(len(bases))
+        u[:2] = 0.0, np.nextafter(1.0, 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            if cells is not None:
+                patch.setattr(states, "_DRAW_CELLS", cells)
+            drawn = states.draw_outcomes(state, bases, u)
+        cumulatives = {}
+        for row, uniform, outcome in zip(bases, u, drawn):
+            key = row.tobytes()
+            if key not in cumulatives:
+                cumulatives[key] = np.cumsum(reshape_loop_probs(state.amplitudes, row))
+                cumulatives[key] /= cumulatives[key][-1]
+            assert outcome == np.searchsorted(cumulatives[key], uniform, side="right")
+
+    def test_draw_rotates_at_most_three_times_per_qubit_per_block(self, monkeypatch):
+        # Shots that share a prefix share its rotation, so each qubit of a
+        # block costs at most one rotation per letter.
         calls = []
         rotate = states._rotate_leading
 
@@ -227,17 +254,17 @@ class TestOutcomeTables:
         _, state = ground_state(h)
         sampler = ProductBasisSampler(uniform_distribution(h.n))
         shots = 1000
-        u = np.random.default_rng(2).random((shots, sampler.uniforms + 1))
-        rows = np.unique(sampler.bases(u[:, :-1]), axis=0)
         monkeypatch.setattr(states, "_rotate_leading", counting_rotate)
         estimate_energy(h, state, shots, sampler, np.random.default_rng(2))
-        assert len(calls) == _trie_nodes(rows)
-        assert len(calls) < h.n * len(rows)
+        blocks = -(-shots // max(1, states._DRAW_CELLS >> h.n))
+        assert 0 < len(calls) <= 3 * h.n * blocks
 
     def test_row_width_must_match_state(self):
         zero = StateVector.zero_state(2)
         with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
-            next(states.measurement_distributions(zero, np.full((1, 3), 3, dtype=np.uint8)))
+            states.draw_outcomes(zero, np.full((1, 3), 3, dtype=np.uint8), np.zeros(1))
+        with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+            states.draw_outcomes(zero, np.full((1, 2), 3, dtype=np.uint8), np.zeros(2))
         with pytest.raises(ValueError):
             sample_measurement(zero, "ZZZ", np.random.default_rng(0))
 
@@ -246,7 +273,7 @@ class TestOutcomeTables:
         zero = StateVector.zero_state(2)
         for row in ([0, 3], [4, 3], [3, 0]):
             with pytest.raises(ValueError, match="X/Y/Z"):
-                next(states.measurement_distributions(zero, np.array([row], dtype=np.uint8)))
+                states.draw_outcomes(zero, np.array([row], dtype=np.uint8), np.zeros(1))
 
 
 class TestSampleMeasurement:
