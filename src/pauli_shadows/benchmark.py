@@ -164,7 +164,7 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
     hamiltonian = load_hamiltonian(config.hamiltonian_path)
     if config.state_path is None:
         state_source = "ground_state"
-        _, state = ground_state(hamiltonian)
+        exact, state = ground_state(hamiltonian)  # <psi|H|psi> of the returned state
     else:
         state_source = str(config.state_path)
         text = Path(config.state_path).read_text(encoding="utf-8")
@@ -172,7 +172,7 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
             state = load_state(text, hamiltonian.n)
         except ValueError as exc:
             raise ValueError(f"{config.state_path}: {exc}") from None
-    exact = hamiltonian_expectation(state, hamiltonian)
+        exact = hamiltonian_expectation(state, hamiltonian)
 
     reports = []
     workers = min(config.workers, config.repetitions)

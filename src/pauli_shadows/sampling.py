@@ -20,7 +20,6 @@ once per qubit in each sweep, APS at every stage of every shot.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -76,17 +75,22 @@ def uniform_distribution(n: int) -> np.ndarray:
     return product_distribution(np.full((n, 3), 1.0 / 3.0))
 
 
+def _finite(total: float, what: str) -> float:
+    """``total``, or the ``ValueError`` of overflowing cost masses when it is not finite."""
+    if not total < math.inf:
+        raise ValueError(f"cost masses must be finite and nonnegative: {what} sum to {total}")
+    return total
+
+
 def _term_masses(hamiltonian: Hamiltonian) -> np.ndarray:
     """Squared coefficients alpha_P^2, the cost masses of LBCS and APS.
 
     Raises ``ValueError`` when they overflow: their sum bounds every
-    mass that the LBCS descent and the APS stages add up.
+    mass that the APS stages add up.
     """
     with np.errstate(over="ignore"):
         masses = hamiltonian.coeffs * hamiltonian.coeffs
-        total = masses.sum()
-    if not total < math.inf:
-        raise ValueError(f"cost masses must be finite and nonnegative: the squared coefficients sum to {total}")
+        _finite(masses.sum(), "the squared coefficients")
     return masses
 
 
@@ -102,8 +106,8 @@ def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
     """Variance surrogate ``sum_P alpha_P^2 / Pr[P covered]``.
 
     Returns ``math.inf`` when some term has zero coverage probability,
-    and raises ``ValueError`` when the squared coefficients overflow.
-    The constant offset never contributes (it is measured exactly).
+    and raises ``ValueError`` when the squared coefficients or the cost
+    overflow. The constant offset never contributes (it is measured exactly).
     """
     probs = product_distribution(table)
     if hamiltonian.n != probs.shape[0]:
@@ -113,48 +117,10 @@ def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
     if np.any(coverage == 0.0):
         return math.inf
     total = 0.0
-    for share in (masses / coverage).tolist():
-        total += share  # in term order: a pairwise np.sum moves predicted_error's last digit
-    return total
-
-
-def _lbcs_sweeps(
-    hamiltonian: Hamiltonian, max_sweeps: int
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield (raw probability table, floored-table cost) after each sweep.
-
-    One sweep performs a cyclic pass over qubits; each per-qubit update is
-    the exact coordinate minimizer given the other (floored) qubits.
-    """
-    n = hamiltonian.n
-    codes = hamiltonian.codes
-    masses_all = _term_masses(hamiltonian)
-
-    raw = np.full((n, 3), 1.0 / 3.0)
-    floored = raw.copy()
-    factors = _term_factors(codes, floored)
-    coverage = factors.prod(axis=1)
-
-    for _ in range(max_sweeps):
-        for qubit in range(n):
-            column = codes[:, qubit]
-            active = column != CODE_I
-            masses = np.zeros(3)
-            if active.any():
-                # effective mass: alpha^2 divided by the other qubits' letter
-                # probabilities, i.e. coverage with this qubit's factor removed
-                partial = masses_all[active] * (factors[active, qubit] / coverage[active])
-                masses = np.bincount(column[active] - 1, weights=partial, minlength=3)
-            raw[qubit] = closed_form_distribution(masses)
-            clipped = np.maximum(raw[qubit], LBCS_PROB_FLOOR)
-            floored[qubit] = clipped / clipped.sum()
-            if active.any():
-                new_factors = floored[qubit, column[active] - 1]
-                coverage[active] *= new_factors / factors[active, qubit]
-                factors[active, qubit] = new_factors
-
-        cost = float(np.sum(masses_all / coverage))
-        yield raw.copy(), cost
+    with np.errstate(over="ignore"):
+        for share in (masses / coverage).tolist():
+            total += share  # in term order: a pairwise np.sum moves predicted_error's last digit
+    return _finite(total, "the diagonal cost's shares")
 
 
 def locally_biased_distribution(
@@ -164,9 +130,11 @@ def locally_biased_distribution(
 
     Starts from the uniform distribution and sweeps qubits in index
     order; each qubit's triple is replaced by the closed-form coordinate
-    minimizer of the diagonal cost. Stops when a full sweep changes the
-    cost by less than ``tol * (1 + |cost|)`` or after ``max_sweeps``.
-    ``tol`` must be a nonnegative number.
+    minimizer of the diagonal cost given the other qubits' triples,
+    floored at ``LBCS_PROB_FLOOR``. Stops when a full sweep changes the
+    floored cost by less than ``tol * (1 + |cost|)`` or after
+    ``max_sweeps``; returns the unfloored table unless it leaves a term
+    uncovered. ``tol`` must be a nonnegative number.
     """
     if not tol >= 0.0:  # written so that NaN fails too: it would run every sweep
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
@@ -175,18 +143,38 @@ def locally_biased_distribution(
     if hamiltonian.n_terms == 0:
         return uniform_distribution(hamiltonian.n)
 
-    raw = None
+    codes = hamiltonian.codes
+    masses_all = _term_masses(hamiltonian)
+    raw = np.full((hamiltonian.n, 3), 1.0 / 3.0)
+    floored = raw.copy()
+    factors = _term_factors(codes, floored)
+    coverage = factors.prod(axis=1)
     previous_cost = math.inf
-    for raw, cost in _lbcs_sweeps(hamiltonian, max_sweeps):
-        if abs(previous_cost - cost) < tol * (1.0 + abs(cost)):
-            break
-        previous_cost = cost
+    with np.errstate(over="ignore"):  # closed_form_distribution and _finite raise on overflow
+        for _ in range(max_sweeps):
+            for qubit in range(hamiltonian.n):
+                column = codes[:, qubit]
+                active = column != CODE_I
+                masses = np.zeros(3)
+                if active.any():
+                    # effective mass: alpha^2 divided by the other qubits' letter
+                    # probabilities, i.e. coverage with this qubit's factor removed
+                    partial = masses_all[active] * (factors[active, qubit] / coverage[active])
+                    masses = np.bincount(column[active] - 1, weights=partial, minlength=3)
+                raw[qubit] = closed_form_distribution(masses)
+                clipped = np.maximum(raw[qubit], LBCS_PROB_FLOOR)
+                floored[qubit] = clipped / clipped.sum()
+                if active.any():
+                    new_factors = floored[qubit, column[active] - 1]
+                    coverage[active] *= new_factors / factors[active, qubit]
+                    factors[active, qubit] = new_factors
 
-    if math.isfinite(diagonal_cost(hamiltonian, raw)):
-        return product_distribution(raw)
-    clipped = np.maximum(raw, LBCS_PROB_FLOOR)
-    clipped /= clipped.sum(axis=1, keepdims=True)
-    return product_distribution(clipped)
+            cost = _finite(float(np.sum(masses_all / coverage)), "the floored table's shares")
+            if abs(previous_cost - cost) < tol * (1.0 + abs(cost)):
+                break
+            previous_cost = cost
+    covered = _term_factors(codes, raw).prod(axis=1).all()
+    return product_distribution(raw if covered else floored)
 
 
 _LETTER_CODES = np.array([CODE_X, CODE_Y, CODE_Z])

@@ -2,11 +2,11 @@
 
 ``_compile`` turns rows of Pauli letter codes with coefficients into
 flip groups and ``_apply_compiled`` applies them: one string for
-``apply_pauli`` and ``expectation``, the whole Hamiltonian for
-``hamiltonian_expectation`` and the matrix-free Lanczos solver
-``ground_state``. One rotation kernel, ``_rotate_leading``, serves the
-exact tables of ``measurement_distribution`` and ``sample_measurement``
-and the table-free ``draw_outcomes``.
+``expectation``, the whole Hamiltonian for ``hamiltonian_expectation``
+and the matrix-free Lanczos solver ``ground_state``. One rotation
+kernel, ``_rotate_leading``, serves the exact tables of
+``measurement_distribution`` and ``sample_measurement`` and the
+table-free ``draw_outcomes``.
 Amplitude index convention: qubit 0 is the most significant bit of the
 basis-state index.
 """
@@ -122,17 +122,12 @@ def _apply_compiled(amplitudes: np.ndarray, groups: list[tuple[tuple[slice, ...]
     return out.reshape(-1)
 
 
-def apply_pauli(state: StateVector, pauli: str) -> StateVector:
-    """Return P|psi> for the word P, with the standard phases (Y|0> = i|1>, Y|1> = -i|0>)."""
+def expectation(state: StateVector, pauli: str) -> float:
+    """Exact <psi|P|psi> for the word P (I allowed); always real and in [-1, 1] for a normalized state."""
     codes = letter_codes(pauli)
     if state.n != codes.size:
         raise ValueError(f"length mismatch: state has {state.n} qubits, operator has {codes.size}")
-    return StateVector(_apply_compiled(state.amplitudes, _compile(codes[None], np.ones(1))))
-
-
-def expectation(state: StateVector, pauli: str) -> float:
-    """Exact <psi|P|psi>; always real and in [-1, 1] for a normalized state."""
-    value = np.vdot(state.amplitudes, apply_pauli(state, pauli).amplitudes)
+    value = np.vdot(state.amplitudes, _apply_compiled(state.amplitudes, _compile(codes[None], np.ones(1))))
     if abs(value.imag) > NORM_TOL:
         raise ArithmeticError(f"expectation has non-real part {value.imag}")
     return float(min(1.0, max(-1.0, value.real)))
@@ -252,8 +247,8 @@ def ground_state(
     when the ground space is degenerate. H is compiled once and applied
     once per iteration; the Ritz vector is formed only once the residual
     estimate ``|beta_k y_k[-1]|`` reaches ``tol``, and one more
-    application confirms it. The returned energy includes the constant
-    offset and satisfies ``|H|psi> - E|psi>| <= tol``.
+    application confirms it. The returned energy is <psi|H|psi> of the
+    returned state plus the offset, and ``|H|psi> - E|psi>| <= tol``.
 
     The Krylov basis keeps one 16 * 2^n-byte vector per iteration: 64 KiB
     at 12 qubits, 16 MiB at 20 qubits.
@@ -300,9 +295,10 @@ def ground_state(
             for coeff, u in zip(y, basis_vectors):
                 candidate += coeff * u
             candidate /= np.linalg.norm(candidate)
-            residual = float(np.linalg.norm(_apply_compiled(candidate, groups) - theta * candidate))
+            image = _apply_compiled(candidate, groups)
+            residual = float(np.linalg.norm(image - theta * candidate))
             if residual <= tol:
-                return theta + hamiltonian.offset, StateVector(candidate)
+                return float(np.vdot(candidate, image).real) + hamiltonian.offset, StateVector(candidate)
             if last:
                 raise GroundStateConvergenceError(
                     f"Lanczos did not reach residual {tol} within {iteration + 1} iterations "

@@ -184,6 +184,24 @@ class TestCompareMethods:
         separate = reports_to_json([run_benchmark(replace(config, method=m)) for m in ("cs", "lbcs", "aps")])
         assert compared == separate
 
+    def test_ground_state_run_compiles_hamiltonian_once(self, tmp_path, monkeypatch):
+        # The exact energy comes from the solver's own confirming application of H.
+        from pauli_shadows import states
+
+        path = tmp_path / "h.ham"
+        path.write_text("0.5 XZ\n-0.25 ZI\n0.3 YY\n")
+        compiles = []
+        compile_ = states._compile
+
+        def counting_compile(*args):
+            compiles.append(args)
+            return compile_(*args)
+
+        monkeypatch.setattr(states, "_compile", counting_compile)
+        report = run_benchmark(ExperimentConfig(hamiltonian_path=str(path), shots=50, repetitions=2))
+        assert len(compiles) == 1
+        assert report.exact_energy == ground_state(parse_hamiltonian(path.read_text()))[0]
+
     def test_one_pool_and_worker_count_does_not_change_json(self, tmp_path, monkeypatch):
         import concurrent.futures
         from dataclasses import replace

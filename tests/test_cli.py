@@ -125,11 +125,11 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     @staticmethod
-    def _estimate_overflowing(tmp_path, method):
+    def _estimate_overflowing(tmp_path, method, terms="1e200 ZI\n1.0 XX\n0.5 IY\n", n=2):
         ham = tmp_path / "big.ham"
-        ham.write_text("1e200 ZI\n1.0 XX\n0.5 IY\n")
+        ham.write_text(terms)
         state = tmp_path / "s.state"
-        state.write_text("1 0\n0 0\n0 0\n0 0\n")
+        state.write_text("1 0\n" + "0 0\n" * (2**n - 1))  # |0...0>
         out = tmp_path / "r.json"
         code = run_cli(
             ["estimate", "--hamiltonian", ham, "--method", method, "--shots", 20, "--reps", 2,
@@ -148,6 +148,16 @@ class TestErrors:
         # Every term is covered with probability 1/9 or more, so an infinite
         # predicted error would be wrong: cs stops with the same diagnostic.
         code, out = self._estimate_overflowing(tmp_path, "cs")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["cs", "lbcs"])
+    def test_overflowing_cost(self, tmp_path, capsys, method):
+        # alpha^2 = 1e306 is finite, but 1e306 / 3^-6 is not. Every term is
+        # covered, so the run stops with the diagnostic, not an infinite
+        # predicted error or a RuntimeWarning.
+        code, out = self._estimate_overflowing(tmp_path, method, "1e153 XXXXXX\n0.5 ZIIIII\n", 6)
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()

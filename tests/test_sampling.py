@@ -20,7 +20,7 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows import sampling
-from pauli_shadows.sampling import _lbcs_sweeps, product_distribution
+from pauli_shadows.sampling import product_distribution
 
 from helpers import (
     coverage_count,
@@ -438,9 +438,28 @@ class TestLocallyBiasedDistribution:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             h = random_hamiltonian(rng, n, int(rng.integers(1, 7)))
-            costs = [cost for _, cost in itertools.islice(_lbcs_sweeps(h, 40), 40)]
+            # tol=0 never stops early, so max_sweeps=k returns the table of sweep k.
+            costs = [
+                diagonal_cost(h, locally_biased_distribution(h, tol=0.0, max_sweeps=k)) for k in range(1, 41)
+            ]
             for before, after in zip(costs, costs[1:]):
                 assert after <= before * (1 + 1e-9) + 1e-12
+
+    def test_floored_table_when_raw_leaves_a_term_uncovered(self):
+        # 1e-170 squares to 0, so no mass asks for X and the raw table never
+        # covers XI: the fit returns the floored table of its last sweep.
+        h = Hamiltonian(2, [(1e-170, "XI"), (1.0, "ZZ")])
+        pd = locally_biased_distribution(h)
+        np.testing.assert_array_equal(pd, [[9.99999999998e-13, 9.99999999998e-13, 0.999999999998]] * 2)
+        assert diagonal_cost(h, pd) == 1.000000000004
+
+    def test_overflowing_cost_rejected(self):
+        # Each alpha^2 = 8.1e307 and their sum are finite; the cost 2 * 8.1e307 / 0.5 is not.
+        h = parse_hamiltonian("9e153 X\n9e153 Z")
+        with pytest.raises(ValueError, match="finite"):
+            locally_biased_distribution(h)
+        with pytest.raises(ValueError, match="finite"):
+            diagonal_cost(h, [[0.5, 0.0, 0.5]])
 
     def test_beats_uniform_on_random_hamiltonians(self):
         rng = np.random.default_rng(45)

@@ -24,7 +24,8 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows import states
-from pauli_shadows.states import apply_pauli, load_state, sigmas_from_index
+from pauli_shadows.paulis import letter_codes
+from pauli_shadows.states import load_state, sigmas_from_index
 
 from helpers import (
     BELL_AMPLITUDES,
@@ -66,30 +67,33 @@ class TestStateVector:
             StateVector([1.0, 0.0, 0.0])
 
 
+def _compiled_word(word: str):
+    """The compiled operator of one Pauli word with coefficient 1."""
+    return states._compile(letter_codes(word)[None], np.ones(1))
+
+
 class TestApplyPauli:
+    """P|psi> for one Pauli word, through the compiled operator of that word."""
+
     def test_z_on_zero(self):
-        out = apply_pauli(StateVector.zero_state(1), "Z")
-        np.testing.assert_allclose(out.amplitudes, [1.0, 0.0])
+        out = states._apply_compiled(StateVector.zero_state(1).amplitudes, _compiled_word("Z"))
+        np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_x_on_zero(self):
-        out = apply_pauli(StateVector.zero_state(1), "X")
-        np.testing.assert_allclose(out.amplitudes, [0.0, 1.0])
+        out = states._apply_compiled(StateVector.zero_state(1).amplitudes, _compiled_word("X"))
+        np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_y_on_zero(self):
-        out = apply_pauli(StateVector.zero_state(1), "Y")
-        np.testing.assert_allclose(out.amplitudes, [0.0, 1.0j])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_pauli(StateVector.zero_state(2), "X")
+        out = states._apply_compiled(StateVector.zero_state(1).amplitudes, _compiled_word("Y"))
+        np.testing.assert_allclose(out, [0.0, 1.0j])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         for n in range(1, 7):
             for word in ["I" * n] + ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(10)]:
                 amps = random_state_amplitudes(rng, n)
-                out = apply_pauli(StateVector(amps), word)
-                np.testing.assert_allclose(out.amplitudes, dense_pauli(word) @ amps, atol=1e-12)
+                out = states._apply_compiled(amps, _compiled_word(word))
+                np.testing.assert_allclose(out, dense_pauli(word) @ amps, atol=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(12)
@@ -97,9 +101,9 @@ class TestApplyPauli:
             n = int(rng.integers(1, 4))
             amps = random_state_amplitudes(rng, n)
             word = "".join(rng.choice(list("IXYZ"), size=n))
-            state = StateVector(amps)
-            twice = apply_pauli(apply_pauli(state, word), word)
-            np.testing.assert_allclose(twice.amplitudes, amps, atol=1e-12)
+            once = states._apply_compiled(amps, _compiled_word(word))
+            twice = states._apply_compiled(once, _compiled_word(word))
+            np.testing.assert_allclose(twice, amps, atol=1e-12)
 
 
 class TestExpectation:
@@ -112,6 +116,10 @@ class TestExpectation:
     def test_bell_correlations(self):
         assert expectation(bell_state(), "XX") == pytest.approx(1.0)
         assert expectation(bell_state(), "ZZ") == pytest.approx(1.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            expectation(StateVector.zero_state(2), "X")
 
     def test_matches_dense_oracle_and_range(self):
         rng = np.random.default_rng(13)
@@ -353,6 +361,12 @@ class TestGroundState:
             assert energy == pytest.approx(dense_energy, abs=1e-8)
             residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
             assert np.linalg.norm(residual) <= 1e-7
+
+    def test_energy_is_expectation_of_returned_state(self):
+        for name in ("fixture_a_6q.ham", "fixture_b_7q.ham", "fixture_c_8q.ham"):
+            h = load_hamiltonian(FIXTURE_DIR / name)
+            energy, state = ground_state(h)
+            assert energy == hamiltonian_expectation(state, h)
 
     def test_offset_shifts_energy(self):
         base = parse_hamiltonian("1.0 Z")
