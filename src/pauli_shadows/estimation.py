@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .paulis import CODE_I, Hamiltonian
+from .paulis import CODE_I, Hamiltonian, keep_table
 from .states import StateVector, draw_outcomes
 
 # Cap on (shot, term) cells that one slice of the fold holds.
@@ -65,16 +65,16 @@ def _fold(codes: np.ndarray, letters: np.ndarray, outcomes: np.ndarray) -> tuple
     cells.
     """
     terms, n = codes.shape
-    columns = np.ascontiguousarray(codes.T)  # (n, terms)
-    masks = ((columns != CODE_I).astype(np.int64) << np.arange(n - 1, -1, -1)[:, None]).sum(axis=0)
+    keep = keep_table(codes)
+    masks = ((codes != CODE_I).astype(np.int64) << np.arange(n - 1, -1, -1)).sum(axis=1)
     sums = np.zeros(terms, dtype=np.int64)
     counts = np.zeros(terms, dtype=np.int64)
     step = max(1, _FOLD_CELLS // max(1, terms))
     for start in range(0, len(outcomes), step):
         shot_letters = letters[start : start + step]
         covered = np.ones((len(shot_letters), terms), dtype=bool)
-        for qubit, column in enumerate(columns):
-            covered &= (column == CODE_I) | (column == shot_letters[:, qubit, None])
+        for qubit in range(n):
+            covered &= keep[qubit, shot_letters[:, qubit] - 1]
         odd = (np.bitwise_count(outcomes[start : start + step, None] & masks) & 1).view(bool)
         hits = np.count_nonzero(covered, axis=0)
         counts += hits

@@ -5,7 +5,8 @@ measurement basis is a word over XYZ; words compare, hash and print as
 strings. ``letter_codes`` is the one check a word passes on its way to
 the numeric code: it returns the per-qubit codes I=0, X=1, Y=2, Z=3 as
 a read-only uint8 array. A ``Hamiltonian`` keeps its terms as
-(coefficient, word) pairs and their codes as one (terms, n) array.
+(coefficient, word) pairs and their codes as one (terms, n) array, and
+``keep_table`` states the covering rule on such codes, once for all.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def letter_codes(word: str) -> np.ndarray:
         raise ValueError(f"invalid Pauli letter {rest[0]!r} in {word!r}")
     # A view of immutable bytes, so the array is read-only.
     return np.frombuffer(word.translate(_TO_CODE).encode(), dtype=np.uint8)
+
+
+def keep_table(codes: np.ndarray) -> np.ndarray:
+    """C-contiguous (n, 3, terms) bool keep[q, l, t]: term t has I or letter code l + 1 at qubit q.
+
+    A basis covers term t iff keep[q, its code at q - 1, t] holds at every qubit q.
+    """
+    columns = np.ascontiguousarray(codes.T)[:, None, :]  # (n, 1, terms)
+    return (columns == CODE_I) | (columns == np.array([[CODE_X], [CODE_Y], [CODE_Z]]))
 
 
 class Hamiltonian:
@@ -126,10 +136,9 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     merged: dict[str, float] = {}  # word -> summed coefficient, in order of first appearance
 
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise HamiltonianFormatError(
                 f"expected '<coefficient> <pauli-string>', got {raw.strip()!r}", line_number
@@ -157,16 +166,9 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     if n is None:
         raise EmptyHamiltonianError("no Hamiltonian terms found")
 
-    offset = 0.0
-    terms: list[tuple[float, str]] = []
-    identity = "I" * n
-    for word, alpha in merged.items():
-        if abs(alpha) < MERGE_THRESHOLD:
-            continue
-        if word == identity:
-            offset = alpha
-        else:
-            terms.append((alpha, word))
+    offset = merged.pop("I" * n, 0.0)
+    offset = offset if abs(offset) >= MERGE_THRESHOLD else 0.0
+    terms = [(alpha, word) for word, alpha in merged.items() if abs(alpha) >= MERGE_THRESHOLD]
 
     if not terms and offset == 0.0:
         raise EmptyHamiltonianError("all terms cancelled or fell below the merge threshold")

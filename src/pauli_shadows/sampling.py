@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, LETTERS, Hamiltonian
+from .paulis import CODE_I, CODE_X, CODE_Y, CODE_Z, LETTERS, Hamiltonian, keep_table
 
 PROB_SUM_TOL = 1e-12
 
@@ -145,6 +145,7 @@ def locally_biased_distribution(
 
     codes = hamiltonian.codes
     masses_all = _term_masses(hamiltonian)
+    acting = [(rows, codes[rows, qubit] - 1) for qubit, rows in enumerate(map(np.flatnonzero, codes.T))]
     raw = np.full((hamiltonian.n, 3), 1.0 / 3.0)
     floored = raw.copy()
     factors = _term_factors(codes, floored)
@@ -152,22 +153,16 @@ def locally_biased_distribution(
     previous_cost = math.inf
     with np.errstate(over="ignore"):  # closed_form_distribution and _finite raise on overflow
         for _ in range(max_sweeps):
-            for qubit in range(hamiltonian.n):
-                column = codes[:, qubit]
-                active = column != CODE_I
-                masses = np.zeros(3)
-                if active.any():
-                    # effective mass: alpha^2 divided by the other qubits' letter
-                    # probabilities, i.e. coverage with this qubit's factor removed
-                    partial = masses_all[active] * (factors[active, qubit] / coverage[active])
-                    masses = np.bincount(column[active] - 1, weights=partial, minlength=3)
-                raw[qubit] = closed_form_distribution(masses)
+            for qubit, (rows, letters) in enumerate(acting):
+                # effective mass: alpha^2 divided by the other qubits' letter
+                # probabilities, i.e. coverage with this qubit's factor removed
+                partial = masses_all[rows] * (factors[rows, qubit] / coverage[rows])
+                raw[qubit] = closed_form_distribution(np.bincount(letters, weights=partial, minlength=3))
                 clipped = np.maximum(raw[qubit], LBCS_PROB_FLOOR)
                 floored[qubit] = clipped / clipped.sum()
-                if active.any():
-                    new_factors = floored[qubit, column[active] - 1]
-                    coverage[active] *= new_factors / factors[active, qubit]
-                    factors[active, qubit] = new_factors
+                new_factors = floored[qubit, letters]
+                coverage[rows] *= new_factors / factors[rows, qubit]
+                factors[rows, qubit] = new_factors
 
             cost = _finite(float(np.sum(masses_all / coverage)), "the floored table's shares")
             if abs(previous_cost - cost) < tol * (1.0 + abs(cost)):
@@ -232,8 +227,8 @@ class AdaptiveBasisSampler:
 
     Two tables, built once from the Hamiltonian, carry the stage work:
     ``weights[q, t, l]`` is term t's mass alpha_t^2 when its letter at
-    qubit q is l + 1, else 0, and ``keep[q, l, t]`` says whether term t
-    is still consistent once qubit q reads letter l + 1. All shots
+    qubit q is l + 1, else 0, and ``keep`` is ``keep_table`` of the
+    codes, the covering rule that the estimator's fold shares. All shots
     advance one stage at a time with a (shots, terms) bool mask of their
     alive terms. A stage costs one (shots at q, terms) @ (terms, 3)
     matrix product per qubit q that occurs in it, then one gathered
@@ -245,10 +240,9 @@ class AdaptiveBasisSampler:
     def __init__(self, hamiltonian: Hamiltonian):
         self.hamiltonian = hamiltonian
         self.uniforms = 2 * hamiltonian.n
-        columns = hamiltonian.codes.T[:, :, None]  # (n, terms, 1)
-        letters = columns == _LETTER_CODES  # (n, terms, 3)
+        letters = hamiltonian.codes.T[:, :, None] == _LETTER_CODES  # (n, terms, 3)
         self._weights = np.where(letters, _term_masses(hamiltonian)[:, None], 0.0)
-        self._keep = np.ascontiguousarray((letters | (columns == CODE_I)).transpose(0, 2, 1))
+        self._keep = keep_table(hamiltonian.codes)
 
     def bases(self, u: np.ndarray) -> np.ndarray:
         """Map a (shots, 2n) block of U[0, 1) draws to (shots, n) letter codes.

@@ -321,10 +321,9 @@ def load_state(text: str, n: int) -> StateVector:
     """
     values: list[complex] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {line_number}: expected '<re> <im>', got {raw.strip()!r}")
         try:

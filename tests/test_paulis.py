@@ -1,5 +1,8 @@
 """Tests for Pauli strings, covering, and Hamiltonian parsing."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from pauli_shadows import (
     parse_hamiltonian,
     sample_measurement,
 )
-from pauli_shadows.paulis import letter_codes
+from pauli_shadows.paulis import keep_table, letter_codes
 
 from helpers import all_bases, coverage_count, covers_reference, serialize_hamiltonian
 
@@ -94,6 +97,21 @@ class TestCovers:
             assert coverage_count(word, n) * 3**weight == 1
 
 
+class TestKeepTable:
+    """``keep_table`` is the covering rule that APS and the estimator's fold share."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_covers_reference_on_every_word_and_basis(self, n):
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+        keep = keep_table(np.stack([letter_codes(word) for word in words]))
+        assert keep.shape == (n, 3, len(words)) and keep.dtype == bool
+        assert keep.flags.c_contiguous
+        for basis in all_bases(n):
+            # a basis covers term t iff every qubit q keeps t under the basis letter at q
+            covered = np.all([keep[q, code - 1] for q, code in enumerate(letter_codes(basis))], axis=0)
+            assert covered.tolist() == [covers_reference(basis, word) for word in words]
+
+
 class TestHamiltonian:
     def test_basic_construction(self):
         h = Hamiltonian(2, [(0.5, "XZ"), (-0.25, "ZI")])
@@ -155,6 +173,12 @@ class TestParseHamiltonian:
     def test_identity_only_file_is_valid(self):
         h = parse_hamiltonian("0.75 III")
         assert h.offset == 0.75 and h.n_terms == 0
+
+    def test_sub_threshold_identity_gives_zero_offset(self):
+        for text in ("1e-13 II\n1.0 XI", "0.5 II\n-0.5 II\n1.0 XI", "-1e-13 II\n1.0 XI"):
+            h = parse_hamiltonian(text)
+            assert h.offset == 0.0 and math.copysign(1.0, h.offset) == 1.0
+            assert h.terms == ((1.0, "XI"),)
 
     def test_drops_tiny_merged_coefficients(self):
         h = parse_hamiltonian("1.0 XI\n-0.9999999999999999 XI\n1.0 ZI")

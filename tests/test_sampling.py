@@ -469,6 +469,18 @@ class TestLocallyBiasedDistribution:
             pd = locally_biased_distribution(h)
             assert diagonal_cost(h, pd) <= diagonal_cost(h, uniform_distribution(n)) * (1 + 1e-9)
 
+    def test_idle_qubit_stays_uniform(self):
+        # No term acts on qubit 1, so its row is exactly uniform; all three rows are pinned bit for bit.
+        pd = locally_biased_distribution(Hamiltonian(3, [(1.0, "XIZ"), (0.5, "ZIY")]))
+        np.testing.assert_array_equal(
+            pd,
+            [
+                [0.6135126263913937, 0.0, 0.38648737360860647],
+                [1 / 3, 1 / 3, 1 / 3],
+                [0.0, 0.3864886275424117, 0.6135113724575884],
+            ],
+        )
+
     def test_identity_only_hamiltonian(self):
         pd = locally_biased_distribution(parse_hamiltonian("1.0 II"))
         np.testing.assert_array_equal(pd, uniform_distribution(2))
