@@ -18,8 +18,9 @@ import numpy as np
 from .paulis import CODE_I, Hamiltonian, keep_table
 from .states import StateVector, draw_outcomes
 
-# Cap on (shot, term) cells that one slice of the fold holds.
-_FOLD_CELLS = 1 << 14
+# Cap on (shot, term) cells in one block of shots: the APS stage masks
+# and the fold's product each hold that many.
+_BLOCK_CELLS = 1 << 18
 
 
 class BasisSampler(Protocol):
@@ -59,27 +60,23 @@ def _fold(codes: np.ndarray, letters: np.ndarray, outcomes: np.ndarray) -> tuple
     ``codes`` holds one row of letter codes per term, ``letters`` one
     basis row per shot and ``outcomes`` each shot's outcome as the index
     of a computational basis state, with qubit 0 in the most significant
-    bit and bit 1 meaning the readout -1. A covered term's product is the
-    parity of its non-identity bits, so an all-identity term reads +1.
-    Shots go through in slices of at most ``_FOLD_CELLS`` (shot, term)
-    cells.
+    bit and bit 1 meaning the readout -1. A signed int8 table built from
+    ``keep_table`` gives each (qubit, letter, bit) one factor per term:
+    0 when the letter does not cover the term there, -1 when the term
+    acts there and the bit is 1, else +1. A shot's product over qubits
+    is then 0 for an uncovered term and the term's ±1 product otherwise,
+    so an all-identity term reads +1.
     """
     terms, n = codes.shape
-    keep = keep_table(codes)
-    masks = ((codes != CODE_I).astype(np.int64) << np.arange(n - 1, -1, -1)).sum(axis=1)
-    sums = np.zeros(terms, dtype=np.int64)
-    counts = np.zeros(terms, dtype=np.int64)
-    step = max(1, _FOLD_CELLS // max(1, terms))
-    for start in range(0, len(outcomes), step):
-        shot_letters = letters[start : start + step]
-        covered = np.ones((len(shot_letters), terms), dtype=bool)
-        for qubit in range(n):
-            covered &= keep[qubit, shot_letters[:, qubit] - 1]
-        odd = (np.bitwise_count(outcomes[start : start + step, None] & masks) & 1).view(bool)
-        hits = np.count_nonzero(covered, axis=0)
-        counts += hits
-        sums += hits - 2 * np.count_nonzero(covered & odd, axis=0)
-    return sums, counts
+    keep = keep_table(codes)  # (n, 3, terms)
+    sign = np.where(codes.T != CODE_I, -1, 1).astype(np.int8)[:, None, :]  # readout -1 of an acting term
+    table = np.stack([keep, keep * sign], axis=2).reshape(n, 6, terms)  # int8
+    bits = (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = 2 * (letters.astype(np.intp) - 1) + bits  # (shots, n): 2 * (letter - 1) + bit
+    product = table[0, rows[:, 0]]
+    for qubit in range(1, n):
+        product *= table[qubit, rows[:, qubit]]
+    return product.sum(axis=0, dtype=np.int64), np.count_nonzero(product, axis=0)
 
 
 def estimate_energy(
@@ -91,10 +88,13 @@ def estimate_energy(
 ) -> EstimationResult:
     """Estimate the energy of ``state`` from ``shots`` single measurements.
 
-    Draws one (shots, ``sampler.uniforms`` + 1) block of uniforms: the
-    sampler turns the leading columns of each row into that shot's
-    basis, ``draw_outcomes`` turns the last column into its outcome, and
-    one fold turns all the shots into per-term sums and counts.
+    Works through the shots in blocks of ``max(1, _BLOCK_CELLS // terms)``.
+    Per block it draws a (block, ``sampler.uniforms`` + 1) array of
+    uniforms: the sampler turns the leading columns of each row into
+    that shot's basis, ``draw_outcomes`` turns the last column into its
+    outcome, and the fold adds the block's per-term sums and counts to
+    the totals. ``rng.random`` fills rows in order and the fold is
+    additive, so the block size does not change the result.
     Deterministic given the inputs and the rng state; replaying a seed
     reproduces the result bit for bit.
     """
@@ -103,9 +103,14 @@ def estimate_energy(
     if state.n != hamiltonian.n:
         raise ValueError("state and Hamiltonian qubit counts differ")
 
-    u = rng.random((shots, sampler.uniforms + 1))
-    bases = sampler.bases(u[:, :-1])
-    sums, counts = _fold(hamiltonian.codes, bases, draw_outcomes(state, bases, u[:, -1]))
+    sums, counts = np.zeros((2, hamiltonian.n_terms), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(1, hamiltonian.n_terms))
+    for start in range(0, shots, step):
+        u = rng.random((min(step, shots - start), sampler.uniforms + 1))
+        bases = sampler.bases(u[:, :-1])
+        block_sums, block_counts = _fold(hamiltonian.codes, bases, draw_outcomes(state, bases, u[:, -1]))
+        sums += block_sums
+        counts += block_counts
 
     result = EstimationResult(
         energy=hamiltonian.offset,

@@ -173,10 +173,6 @@ def locally_biased_distribution(
 
 
 _LETTER_CODES = np.array([CODE_X, CODE_Y, CODE_Z])
-# Cap on (shot, term) cells in one slice of adaptive selection: its
-# alive mask, one qubit group's float copy of it and the gathered keep
-# mask each hold that many cells.
-_SLICE_CELLS = 1 << 16
 
 
 def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +225,13 @@ class AdaptiveBasisSampler:
     ``weights[q, t, l]`` is term t's mass alpha_t^2 when its letter at
     qubit q is l + 1, else 0, and ``keep`` is ``keep_table`` of the
     codes, the covering rule that the estimator's fold shares. All shots
-    advance one stage at a time with a (shots, terms) bool mask of their
-    alive terms. A stage costs one (shots at q, terms) @ (terms, 3)
-    matrix product per qubit q that occurs in it, then one gathered
-    (shots, terms) keep mask, so a block of shots costs
-    O(shots * terms * n) in about n * n vectorized steps. On 8 qubits
-    and 500 terms the tables take 94 KiB (float64) and 12 KiB (bool).
+    of a block, whose size ``estimate_energy`` bounds, advance one stage
+    at a time with a (shots, terms) bool mask of their alive terms. A
+    stage costs one (shots at q, terms) @ (terms, 3) matrix product per
+    qubit q that occurs in it, then one gathered (shots, terms) keep
+    mask, so a block of shots costs O(shots * terms * n) in about n * n
+    vectorized steps. On 8 qubits and 500 terms the tables take 94 KiB
+    (float64) and 12 KiB (bool).
     """
 
     def __init__(self, hamiltonian: Hamiltonian):
@@ -250,13 +247,9 @@ class AdaptiveBasisSampler:
         At each stage a shot's letter probabilities are the closed-form
         simplex solution for the masses of its alive terms at its
         current qubit, uniform when no alive term acts there. Rows are
-        independent; they go through in slices of about
-        ``_SLICE_CELLS / terms`` shots to bound the stage masks' memory.
+        independent, so the caller bounds the stage masks' memory by the
+        number of rows it passes.
         """
-        step = max(1, _SLICE_CELLS // max(1, self.hamiltonian.n_terms))
-        return np.concatenate([self._stages(u[i : i + step]) for i in range(0, max(len(u), 1), step)])
-
-    def _stages(self, u: np.ndarray) -> np.ndarray:
         n = self.hamiltonian.n
         shots = u.shape[0]
         order = np.argsort(u[:, :n], axis=1)

@@ -1,5 +1,6 @@
 """Tests for the estimation pass, its per-term fold, and the exact variance oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pauli_shadows import (
     AdaptiveBasisSampler,
     CapacityError,
+    Hamiltonian,
     ProductBasisSampler,
     StateVector,
     estimate_energy,
@@ -21,6 +23,7 @@ from pauli_shadows import (
     parse_hamiltonian,
     uniform_distribution,
 )
+from pauli_shadows import estimation
 from pauli_shadows.estimation import _fold
 from pauli_shadows.paulis import letter_codes
 
@@ -73,6 +76,17 @@ class TestAccumulator:
 
     def test_uncovered_listing(self):
         assert fold(["X", "Z"], [("Z", 0)]) == ([0, 1], [0, 1])
+
+    def test_every_word_basis_and_outcome_up_to_three_qubits(self):
+        # Reaches every (letter, bit) entry of the fold's signed table at every qubit.
+        for n in (1, 2, 3):
+            words = ["".join(word) for word in itertools.product("IXYZ", repeat=n)]  # "I" * n too
+            for basis in all_bases(n):
+                covered = [covers_reference(basis, word) for word in words]
+                for outcome in range(2**n):
+                    sums = [product_of_sigmas(outcome, n, word) if hit else 0 for word, hit in zip(words, covered)]
+                    assert fold(words, [(basis, outcome)]) == (sums, [int(hit) for hit in covered])
+
 
 class TestEstimateEnergy:
     def test_deterministic_z_term(self):
@@ -200,17 +214,40 @@ class TestReferenceEquivalence:
         assert result.counts.tolist() == counts
 
     def test_fold_slices_match_per_shot_loop(self):
-        # 1500 shots of 40 terms take several slices of the fold.
+        # 1500 shots of 40 terms in blocks of 400 shots: four blocks, the last one partial.
         rng = np.random.default_rng(10)
         h = random_hamiltonian(rng, 4, 40)
         state = StateVector(random_state_amplitudes(rng, 4))
-        result = estimate_energy(h, state, 1500, ProductBasisSampler(uniform_distribution(4)), np.random.default_rng(11))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_BLOCK_CELLS", 400 * h.n_terms)
+            result = estimate_energy(
+                h, state, 1500, ProductBasisSampler(uniform_distribution(4)), np.random.default_rng(11)
+            )
         energy, sums, counts = reference_estimate(
             h, state, 1500, ProductBasisSampler(uniform_distribution(4)), np.random.default_rng(11)
         )
         assert abs(result.energy - energy) <= 1e-12
         assert result.sums.tolist() == sums
         assert result.counts.tolist() == counts
+
+    @pytest.mark.parametrize("method", ["cs", "aps"])
+    @pytest.mark.parametrize("n_terms", [0, 12])
+    def test_block_size_does_not_change_result(self, method, n_terms):
+        rng = np.random.default_rng(12)
+        h = random_hamiltonian(rng, 3, n_terms) if n_terms else Hamiltonian(3, [], offset=-0.75)
+        state = StateVector(random_state_amplitudes(rng, 3))
+        width = max(1, h.n_terms)
+        runs = []
+        # One shot a block, blocks of 7 (the last of 30 shots partial), and the default single block.
+        for cells in (width, 7 * width, estimation._BLOCK_CELLS):
+            sampler = ProductBasisSampler(uniform_distribution(3)) if method == "cs" else AdaptiveBasisSampler(h)
+            draws = np.random.default_rng(13)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimation, "_BLOCK_CELLS", cells)
+                result = estimate_energy(h, state, 30, sampler, draws)
+            runs.append((result.energy, result.sums.tolist(), result.counts.tolist(), draws.random()))
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][1]) == h.n_terms
 
 
 class TestConditionalMeans:
