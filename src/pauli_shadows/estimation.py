@@ -18,8 +18,8 @@ import numpy as np
 from .paulis import CODE_I, Hamiltonian, keep_table
 from .states import StateVector, draw_outcomes
 
-# Cap on (shot, term) cells in one block of shots: the APS stage masks
-# and the fold's product each hold that many.
+# Cap on cells in one block of shots: its (shot, term) APS stage masks and
+# fold product, and its (shot, uniform) draws, each hold at most that many.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -54,24 +54,22 @@ class EstimationResult:
         return np.divide(self.sums, self.counts, out=np.zeros(len(self.sums)), where=self.counts > 0)
 
 
-def _fold(codes: np.ndarray, letters: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold(codes: np.ndarray, letters: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-term integer sums of ±1 products and coverage counts over a block of shots.
 
     ``codes`` holds one row of letter codes per term, ``letters`` one
-    basis row per shot and ``outcomes`` each shot's outcome as the index
-    of a computational basis state, with qubit 0 in the most significant
-    bit and bit 1 meaning the readout -1. A signed int8 table built from
-    ``keep_table`` gives each (qubit, letter, bit) one factor per term:
-    0 when the letter does not cover the term there, -1 when the term
-    acts there and the bit is 1, else +1. A shot's product over qubits
-    is then 0 for an uncovered term and the term's ±1 product otherwise,
-    so an all-identity term reads +1.
+    basis row per shot and ``bits`` each shot's outcome bits as
+    ``draw_outcomes`` returns them, bit 1 meaning the readout -1. A
+    signed int8 table built from ``keep_table`` gives each (qubit,
+    letter, bit) one factor per term: 0 when the letter does not cover
+    the term there, -1 when the term acts there and the bit is 1, else
+    +1. A shot's product over qubits is then 0 for an uncovered term and
+    the term's ±1 product otherwise, so an all-identity term reads +1.
     """
     terms, n = codes.shape
     keep = keep_table(codes)  # (n, 3, terms)
     sign = np.where(codes.T != CODE_I, -1, 1).astype(np.int8)[:, None, :]  # readout -1 of an acting term
     table = np.stack([keep, keep * sign], axis=2).reshape(n, 6, terms)  # int8
-    bits = (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1
     rows = 2 * (letters.astype(np.intp) - 1) + bits  # (shots, n): 2 * (letter - 1) + bit
     product = table[0, rows[:, 0]]
     for qubit in range(1, n):
@@ -88,13 +86,14 @@ def estimate_energy(
 ) -> EstimationResult:
     """Estimate the energy of ``state`` from ``shots`` single measurements.
 
-    Works through the shots in blocks of ``max(1, _BLOCK_CELLS // terms)``.
-    Per block it draws a (block, ``sampler.uniforms`` + 1) array of
-    uniforms: the sampler turns the leading columns of each row into
-    that shot's basis, ``draw_outcomes`` turns the last column into its
-    outcome, and the fold adds the block's per-term sums and counts to
-    the totals. ``rng.random`` fills rows in order and the fold is
-    additive, so the block size does not change the result.
+    Works through the shots in blocks of
+    ``max(1, _BLOCK_CELLS // max(terms, sampler.uniforms + 1))``. Per
+    block it draws a (block, ``sampler.uniforms`` + 1) array of uniforms:
+    the sampler turns the leading columns of each row into that shot's
+    basis, ``draw_outcomes`` turns the last column into its outcome
+    bits, and the fold adds the block's per-term sums and counts to the
+    totals. ``rng.random`` fills rows in order and the fold is additive,
+    so the block size does not change the result.
     Deterministic given the inputs and the rng state; replaying a seed
     reproduces the result bit for bit.
     """
@@ -104,7 +103,7 @@ def estimate_energy(
         raise ValueError("state and Hamiltonian qubit counts differ")
 
     sums, counts = np.zeros((2, hamiltonian.n_terms), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(1, hamiltonian.n_terms))
+    step = max(1, _BLOCK_CELLS // max(hamiltonian.n_terms, sampler.uniforms + 1))
     for start in range(0, shots, step):
         u = rng.random((min(step, shots - start), sampler.uniforms + 1))
         bases = sampler.bases(u[:, :-1])

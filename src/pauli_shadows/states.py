@@ -4,7 +4,8 @@
 flip groups and ``_apply_compiled`` applies them: one string for
 ``expectation``, the whole Hamiltonian for ``hamiltonian_expectation``
 and the matrix-free Lanczos solver ``ground_state``. One rotation
-kernel, ``_rotate_leading``, serves the exact tables of
+kernel, ``_rotate_leading``, which splits each row of a stack into its
+bit-0 and bit-1 rows in place, serves the exact tables of
 ``measurement_distribution`` and ``sample_measurement`` and the
 table-free ``draw_outcomes``.
 Amplitude index convention: qubit 0 is the most significant bit of the
@@ -145,21 +146,17 @@ def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> flo
 def _rotate_leading(psi: np.ndarray, code: int) -> np.ndarray:
     """Rotate the leading qubit of each row of a stack to the computational frame (times sqrt(2) unless Z).
 
-    The halves a (bit 0) and b (bit 1) of each 2^m-long row become the
-    columns of a (..., 2^(m-1), 2) result: X gives (a + b, a - b), Y the
-    same after b *= -i, Z a plain move. Products by ±1 or ±i are exact.
+    The halves a (bit 0) and b (bit 1) of each 2^m-long row become rows 0
+    and 1 of a (..., 2, 2^(m-1)) result, in place: X gives (a + b, a - b),
+    Y the same after b *= -i, Z (a, b). Products by ±1 or ±i are exact.
     """
-    half = psi.shape[-1] // 2
-    a, b = psi[..., :half], psi[..., half:]
-    out = np.empty((*psi.shape[:-1], half, 2), dtype=np.complex128)
+    pair = psi.reshape(*psi.shape[:-1], 2, psi.shape[-1] // 2)
     if code == CODE_Z:
-        out[..., 0], out[..., 1] = a, b
-    else:
-        if code == CODE_Y:
-            b = b * -1j
-        np.add(a, b, out=out[..., 0])
-        np.subtract(a, b, out=out[..., 1])
-    return out
+        return pair
+    a, b = pair[..., 0, :], pair[..., 1, :]
+    if code == CODE_Y:
+        b = b * -1j
+    return np.stack((a + b, a - b), axis=-2)
 
 
 def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
@@ -168,16 +165,18 @@ def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
     Entry k is the probability of the outcome whose qubit-i readout is
     ``sigmas_from_index(k, n)[i]`` (bit 0 of the index -> +1, bit 1 -> -1,
     qubit 0 as the most significant bit). Entries sum to 1 within 1e-10.
+    Each qubit's rotation doubles the rows of a stack that starts as the
+    state, so after the last qubit the rows are the table in index order.
     """
     codes = letter_codes(basis)
     if codes.size != state.n or not codes.all():
         raise ValueError(f"a basis of a {state.n}-qubit state is {state.n} letters over XYZ, got {basis!r}")
     if state.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"outcome table needs 2^{state.n} entries; limit is 2^{MAX_TABLE_QUBITS}")
-    psi = state.amplitudes
+    psi = state.amplitudes[None]
     for code in codes.tolist():
-        psi = _rotate_leading(psi, code).reshape(-1)  # the rotated qubit moves last
-    table = np.abs(psi) ** 2
+        psi = _rotate_leading(psi, code).reshape(2 * len(psi), -1)
+    table = np.abs(psi.reshape(-1)) ** 2
     table *= 0.5 ** (state.n - basis.count("Z"))  # the sqrt(2) per X/Y rotation, undone exactly
     return table
 
@@ -194,13 +193,15 @@ def sample_measurement(state: StateVector, basis: str, rng: np.random.Generator)
 
 
 def draw_outcomes(state: StateVector, bases: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcome index of each row of X/Y/Z letter codes in ``bases`` for its uniform in ``u``.
+    """Inverse-CDF outcome bits of each row of X/Y/Z letter codes in ``bases`` for its uniform in ``u``.
 
-    The index is drawn one qubit at a time, qubit 0 first, with no outcome
-    table. Shots that share a (letter, bit) prefix share one partly
-    rotated vector. A shot reads bit 1 when its ``u`` times the total mass
-    reaches the mass below its prefix plus the mass of bit 0; a zero-mass
-    branch is never taken. Blocks hold ``max(1, _DRAW_CELLS >> n)`` shots.
+    Bit q of a shot's row in the (shots, n) uint8 result is its qubit-q
+    readout, 1 meaning -1. Bits are drawn qubit by qubit, qubit 0 first,
+    with no outcome table. Shots that share a (letter, bit) prefix share
+    one row of a stack of partly rotated vectors. A shot reads bit 1 when
+    its ``u`` times the total mass reaches the mass below its prefix plus
+    the mass of bit 0; a zero-mass branch is never taken. Blocks hold
+    ``max(1, _DRAW_CELLS >> n)`` shots.
     """
     if bases.ndim != 2 or bases.shape[1] != state.n or u.shape != bases.shape[:1]:
         raise ValueError(f"bases must have shape (k, {state.n}) and u (k,), got {bases.shape}, {u.shape}")
@@ -209,28 +210,27 @@ def draw_outcomes(state: StateVector, bases: np.ndarray, u: np.ndarray) -> np.nd
     if state.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"the outcome draw supports at most {MAX_TABLE_QUBITS} qubits")
     draws = u * np.vdot(state.amplitudes, state.amplitudes).real  # u times the total mass
-    outcomes = np.zeros(len(bases), dtype=np.int64)
+    outcomes = np.empty(bases.shape, dtype=np.uint8)
     step = max(1, _DRAW_CELLS >> state.n)
     for start in range(0, len(bases), step):
-        index = outcomes[start : start + step]
-        below = np.zeros(len(index))  # mass of the outcomes before each shot's prefix
-        vectors, scales = state.amplitudes.reshape(1, -1, 1), np.ones(1)  # (row, amplitude, bit)
-        node = np.zeros_like(index)  # 2 * row + bit of the vector each shot has reached
-        for column in bases[start : start + step].T.astype(np.int64):
-            keys, child = np.unique(column * (2 * len(vectors)) + node, return_inverse=True)
+        block = draws[start : start + step]
+        below = np.zeros(len(block))  # mass of the outcomes before each shot's prefix
+        vectors, scales = state.amplitudes[None], np.ones(1)  # a stack of vectors; a scale per key
+        node = np.zeros(len(block), dtype=np.int64)  # the row of vectors each shot has reached
+        for qubit, column in enumerate(bases[start : start + step].T.astype(np.int64)):
+            keys, child = np.unique(column * len(vectors) + node, return_inverse=True)
             child = child.ravel()
-            codes, parents = np.divmod(keys, 2 * len(vectors))
-            children = np.empty((len(keys), vectors.shape[1] // 2, 2), dtype=np.complex128)
-            for code in set(codes.tolist()):  # not np.unique, which imports numpy.ma on first use
-                rows = codes == code
-                children[rows] = _rotate_leading(vectors[parents[rows] >> 1, :, parents[rows] & 1], code)
+            codes, parents = np.divmod(keys, len(vectors))  # sorted letter first
+            children = np.concatenate(
+                [_rotate_leading(vectors[parents[codes == code]], code) for code in (CODE_X, CODE_Y, CODE_Z)]
+            )
             scales = scales[parents >> 1] * np.where(codes == CODE_Z, 1.0, 0.5)  # undo the sqrt(2) of X/Y
-            masses = (np.abs(children) ** 2).sum(axis=1) * scales[:, None]
+            masses = (np.abs(children) ** 2).sum(axis=-1) * scales[:, None]
             mass0, mass1 = masses[child, 0], masses[child, 1]
-            bit = (mass1 > 0) & (draws[start : start + step] >= below + mass0)  # draws >= below always
+            bit = (mass1 > 0) & (block >= below + mass0)  # draws >= below always
             below += np.where(bit, mass0, 0.0)
-            index[:] = 2 * index + bit
-            vectors, node = children, 2 * child + bit
+            outcomes[start : start + step, qubit] = bit
+            vectors, node = children.reshape(2 * len(keys), -1), 2 * child + bit  # key k, bit b: row 2k + b
     return outcomes
 
 

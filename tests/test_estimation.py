@@ -49,7 +49,9 @@ def fold(terms, shots):
     codes = np.stack([letter_codes(word) for word in terms])
     letters = np.stack([letter_codes(basis) for basis, _ in shots])
     outcomes = np.array([outcome for _, outcome in shots], dtype=np.int64)
-    sums, counts = _fold(codes, letters, outcomes)
+    n = letters.shape[1]
+    bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    sums, counts = _fold(codes, letters, bits)
     return sums.tolist(), counts.tolist()
 
 
@@ -236,11 +238,12 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(12)
         h = random_hamiltonian(rng, 3, n_terms) if n_terms else Hamiltonian(3, [], offset=-0.75)
         state = StateVector(random_state_amplitudes(rng, 3))
-        width = max(1, h.n_terms)
+        samplers = {"cs": lambda: ProductBasisSampler(uniform_distribution(3)), "aps": lambda: AdaptiveBasisSampler(h)}
+        width = max(h.n_terms, samplers[method]().uniforms + 1)  # cells per shot
         runs = []
         # One shot a block, blocks of 7 (the last of 30 shots partial), and the default single block.
         for cells in (width, 7 * width, estimation._BLOCK_CELLS):
-            sampler = ProductBasisSampler(uniform_distribution(3)) if method == "cs" else AdaptiveBasisSampler(h)
+            sampler = samplers[method]()
             draws = np.random.default_rng(13)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(estimation, "_BLOCK_CELLS", cells)
@@ -248,6 +251,26 @@ class TestReferenceEquivalence:
             runs.append((result.energy, result.sums.tolist(), result.counts.tolist(), draws.random()))
         assert runs[0] == runs[1] == runs[2]
         assert len(runs[0][1]) == h.n_terms
+
+    def test_blocks_bound_uniforms_as_well_as_terms(self):
+        # One term on 8 qubits: aps draws 2n + 1 = 17 uniforms per shot, so
+        # the uniforms, not the terms, must size the blocks.
+        rng = np.random.default_rng(14)
+        h = Hamiltonian(8, [(0.5, "XIZIIYII")], offset=0.25)
+        state = StateVector(random_state_amplitudes(rng, 8))
+        runs, rows = [], []
+        for cells in (100, estimation._BLOCK_CELLS):
+            sampler = AdaptiveBasisSampler(h)
+            bases = sampler.bases
+            draws = np.random.default_rng(15)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimation, "_BLOCK_CELLS", cells)
+                patch.setattr(sampler, "bases", lambda u: rows.append(len(u)) or bases(u))
+                result = estimate_energy(h, state, 60, sampler, draws)
+            runs.append((result.energy, result.sums.tolist(), result.counts.tolist(), draws.random()))
+            if cells == 100:
+                assert len(rows) > 1 and all(block * (sampler.uniforms + 1) <= cells for block in rows)
+        assert runs[0] == runs[1]
 
 
 class TestConditionalMeans:

@@ -23,7 +23,7 @@ from pauli_shadows import (
     sample_measurement,
     uniform_distribution,
 )
-from pauli_shadows import states
+from pauli_shadows import estimation, states
 from pauli_shadows.paulis import letter_codes
 from pauli_shadows.states import load_state, sigmas_from_index
 
@@ -241,7 +241,7 @@ class TestOutcomeTables:
                 patch.setattr(states, "_DRAW_CELLS", cells)
             drawn = states.draw_outcomes(state, bases, u)
         cumulatives = {}
-        for row, uniform, outcome in zip(bases, u, drawn):
+        for row, uniform, outcome in zip(bases, u, drawn @ (1 << np.arange(n - 1, -1, -1))):
             key = row.tobytes()
             if key not in cumulatives:
                 cumulatives[key] = np.cumsum(reshape_loop_probs(state.amplitudes, row))
@@ -249,23 +249,42 @@ class TestOutcomeTables:
             assert outcome == np.searchsorted(cumulatives[key], uniform, side="right")
 
     def test_draw_rotates_at_most_three_times_per_qubit_per_block(self, monkeypatch):
-        # Shots that share a prefix share its rotation, so each qubit of a
-        # block costs at most one rotation per letter.
-        calls = []
-        rotate = states._rotate_leading
-
-        def counting_rotate(psi, code):
-            calls.append(code)
-            return rotate(psi, code)
-
+        # Shots that share a (letter, bit) prefix share its rotation, so in
+        # each draw block qubit q rotates at most one row per prefix, 3 * 6**q
+        # of them, and never more rows than the block has shots.
         h = load_hamiltonian(FIXTURE_DIR / "fixture_c_8q.ham")
         _, state = ground_state(h)
-        sampler = ProductBasisSampler(uniform_distribution(h.n))
-        shots = 1000
-        monkeypatch.setattr(states, "_rotate_leading", counting_rotate)
-        estimate_energy(h, state, shots, sampler, np.random.default_rng(2))
-        blocks = -(-shots // max(1, states._DRAW_CELLS >> h.n))
-        assert 0 < len(calls) <= 3 * h.n * blocks
+        rotate, draw = states._rotate_leading, estimation.draw_outcomes
+        calls, shots = [], []  # (row length, rows) per rotation; shots per draw block
+
+        def recording_rotate(psi, code):
+            calls.append((psi.shape[-1], len(psi)))
+            return rotate(psi, code)
+
+        def recording_draw(state, bases, u):
+            step = max(1, states._DRAW_CELLS >> state.n)
+            shots.extend(len(bases[start : start + step]) for start in range(0, len(bases), step))
+            return draw(state, bases, u)
+
+        monkeypatch.setattr(states, "_rotate_leading", recording_rotate)
+        monkeypatch.setattr(estimation, "draw_outcomes", recording_draw)
+        # The default single block of 1000 shots, then blocks of 300 (the last one partial).
+        for cells, blocks in ((states._DRAW_CELLS, 1), (300 << h.n, 4)):
+            calls.clear()
+            shots.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(states, "_DRAW_CELLS", cells)
+                estimate_energy(h, state, 1000, ProductBasisSampler(uniform_distribution(h.n)), np.random.default_rng(2))
+            rows, previous = [], 0  # per draw block, the rows rotated at each qubit
+            for length, count in calls:
+                if length == 2**h.n and previous != length:  # the first rotation of a block
+                    rows.append([0] * h.n)
+                rows[-1][h.n + 1 - length.bit_length()] += count  # a 2^(n-q)-long row is at qubit q
+                previous = length
+            assert 0 < len(calls) <= 3 * h.n * len(shots)
+            assert len(rows) == len(shots) == blocks
+            for block, rotated in zip(shots, rows):
+                assert all(0 < rotated[q] <= min(block, 3 * 6**q) for q in range(h.n))
 
     def test_row_width_must_match_state(self):
         zero = StateVector.zero_state(2)
