@@ -4,10 +4,10 @@
 flip groups and ``_apply_compiled`` applies them: one string for
 ``expectation``, the whole Hamiltonian for ``hamiltonian_expectation``
 and the matrix-free Lanczos solver ``ground_state``. One rotation
-kernel, ``_rotate_leading``, which splits each row of a stack into its
-bit-0 and bit-1 rows in place, serves the exact tables of
+kernel, ``_rotate_leading``, which rotates the leading qubit of each
+row of a stack in place, serves the exact tables of
 ``measurement_distribution`` and ``sample_measurement`` and the
-table-free ``draw_outcomes``.
+table-free, breadth-first ``draw_outcomes``.
 Amplitude index convention: qubit 0 is the most significant bit of the
 basis-state index.
 """
@@ -25,8 +25,8 @@ NORM_TOL = 1e-10
 # anything worse is treated as a corrupt file rather than renormalized.
 LOAD_NORM_TOL = 1e-4
 MAX_TABLE_QUBITS = 20
-# Cap on amplitudes that one block of shots of ``draw_outcomes`` holds at any qubit.
-_DRAW_CELLS = 1 << 18
+# Cap on the amplitudes that one qubit step of ``draw_outcomes`` rotates, unless its shots share one prefix.
+_DRAW_CELLS = 1 << 15
 
 class CapacityError(ValueError):
     """The requested dense table would exceed the supported qubit count."""
@@ -143,20 +143,21 @@ def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> flo
     return float(value.real) + hamiltonian.offset
 
 
-def _rotate_leading(psi: np.ndarray, code: int) -> np.ndarray:
-    """Rotate the leading qubit of each row of a stack to the computational frame (times sqrt(2) unless Z).
+def _rotate_leading(psi: np.ndarray, code: int) -> None:
+    """Rotate the leading qubit of each row of a stack to the computational frame in place (times sqrt(2) unless Z).
 
-    The halves a (bit 0) and b (bit 1) of each 2^m-long row become rows 0
-    and 1 of a (..., 2, 2^(m-1)) result, in place: X gives (a + b, a - b),
-    Y the same after b *= -i, Z (a, b). Products by ±1 or ±i are exact.
+    The halves a (bit 0) and b (bit 1) of each 2^m-long row keep their
+    place: X makes them (a + b, a - b), Y the same after b *= -i, Z
+    leaves them. Products by ±1 or ±i are exact.
     """
-    pair = psi.reshape(*psi.shape[:-1], 2, psi.shape[-1] // 2)
-    if code == CODE_Z:
-        return pair
-    a, b = pair[..., 0, :], pair[..., 1, :]
-    if code == CODE_Y:
-        b = b * -1j
-    return np.stack((a + b, a - b), axis=-2)
+    if code != CODE_Z:
+        pair = psi.reshape(*psi.shape[:-1], 2, psi.shape[-1] // 2)
+        a, b = pair[..., 0, :], pair[..., 1, :]
+        if code == CODE_Y:
+            b *= -1j
+        difference = a - b
+        a += b
+        b[...] = difference
 
 
 def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
@@ -165,18 +166,18 @@ def measurement_distribution(state: StateVector, basis: str) -> np.ndarray:
     Entry k is the probability of the outcome whose qubit-i readout is
     ``sigmas_from_index(k, n)[i]`` (bit 0 of the index -> +1, bit 1 -> -1,
     qubit 0 as the most significant bit). Entries sum to 1 within 1e-10.
-    Each qubit's rotation doubles the rows of a stack that starts as the
-    state, so after the last qubit the rows are the table in index order.
+    Qubit q's rotation acts in place on the 2^q rows of a copy of the
+    state, so after the last qubit its entries are the table in index order.
     """
     codes = letter_codes(basis)
     if codes.size != state.n or not codes.all():
         raise ValueError(f"a basis of a {state.n}-qubit state is {state.n} letters over XYZ, got {basis!r}")
     if state.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"outcome table needs 2^{state.n} entries; limit is 2^{MAX_TABLE_QUBITS}")
-    psi = state.amplitudes[None]
-    for code in codes.tolist():
-        psi = _rotate_leading(psi, code).reshape(2 * len(psi), -1)
-    table = np.abs(psi.reshape(-1)) ** 2
+    psi = state.amplitudes.copy()
+    for qubit, code in enumerate(codes.tolist()):
+        _rotate_leading(psi.reshape(2**qubit, -1), code)
+    table = np.abs(psi) ** 2
     table *= 0.5 ** (state.n - basis.count("Z"))  # the sqrt(2) per X/Y rotation, undone exactly
     return table
 
@@ -197,11 +198,13 @@ def draw_outcomes(state: StateVector, bases: np.ndarray, u: np.ndarray) -> np.nd
 
     Bit q of a shot's row in the (shots, n) uint8 result is its qubit-q
     readout, 1 meaning -1. Bits are drawn qubit by qubit, qubit 0 first,
-    with no outcome table. Shots that share a (letter, bit) prefix share
-    one row of a stack of partly rotated vectors. A shot reads bit 1 when
-    its ``u`` times the total mass reaches the mass below its prefix plus
-    the mass of bit 0; a zero-mass branch is never taken. Blocks hold
-    ``max(1, _DRAW_CELLS >> n)`` shots.
+    with no outcome table, in one breadth-first pass over all the shots.
+    Shots that share a (letter, bit) prefix share one row of a stack of
+    partly rotated vectors. A shot reads bit 1 when its ``u`` times the
+    total mass reaches the mass below its prefix plus the mass of bit 0;
+    a zero-mass branch is never taken. When a qubit's rotated rows would
+    hold more than ``_DRAW_CELLS`` amplitudes, the shots split in two by
+    prefix key, and each half goes on from that qubit with the same parents.
     """
     if bases.ndim != 2 or bases.shape[1] != state.n or u.shape != bases.shape[:1]:
         raise ValueError(f"bases must have shape (k, {state.n}) and u (k,), got {bases.shape}, {u.shape}")
@@ -211,26 +214,33 @@ def draw_outcomes(state: StateVector, bases: np.ndarray, u: np.ndarray) -> np.nd
         raise CapacityError(f"the outcome draw supports at most {MAX_TABLE_QUBITS} qubits")
     draws = u * np.vdot(state.amplitudes, state.amplitudes).real  # u times the total mass
     outcomes = np.empty(bases.shape, dtype=np.uint8)
-    step = max(1, _DRAW_CELLS >> state.n)
-    for start in range(0, len(bases), step):
-        block = draws[start : start + step]
-        below = np.zeros(len(block))  # mass of the outcomes before each shot's prefix
-        vectors, scales = state.amplitudes[None], np.ones(1)  # a stack of vectors; a scale per key
-        node = np.zeros(len(block), dtype=np.int64)  # the row of vectors each shot has reached
-        for qubit, column in enumerate(bases[start : start + step].T.astype(np.int64)):
-            keys, child = np.unique(column * len(vectors) + node, return_inverse=True)
-            child = child.ravel()
+    # A part: its first qubit, its shots, their stack of vectors, a scale per pair of rows of the
+    # stack, the row each shot has reached and the mass of the outcomes before each shot's prefix.
+    every = np.arange(len(bases))
+    parts = [(0, every, state.amplitudes[None], np.ones(1), np.zeros_like(every), np.zeros(len(bases)))]
+    while parts:
+        first, shots, vectors, scales, node, below = parts.pop()
+        for qubit in range(first, state.n):
+            keys, child = np.unique(bases[shots, qubit].astype(np.int64) * len(vectors) + node, return_inverse=True)
+            if len(keys) > 1 and len(keys) << (state.n - qubit) > _DRAW_CELLS:
+                low = child < len(keys) // 2
+                parts += [(qubit, shots[half], vectors, scales, node[half], below[half]) for half in (~low, low)]
+                break
             codes, parents = np.divmod(keys, len(vectors))  # sorted letter first
-            children = np.concatenate(
-                [_rotate_leading(vectors[parents[codes == code]], code) for code in (CODE_X, CODE_Y, CODE_Z)]
-            )
+            vectors = vectors[parents]  # a row per key, rotated in place letter by letter
+            x_end, y_end = np.searchsorted(codes, (CODE_Y, CODE_Z))
+            _rotate_leading(vectors[:x_end], CODE_X)
+            _rotate_leading(vectors[x_end:y_end], CODE_Y)
+            vectors = vectors.reshape(2 * len(keys), -1)  # key k, bit b: row 2k + b
             scales = scales[parents >> 1] * np.where(codes == CODE_Z, 1.0, 0.5)  # undo the sqrt(2) of X/Y
-            masses = (np.abs(children) ** 2).sum(axis=-1) * scales[:, None]
+            masses = np.abs(vectors)
+            masses **= 2
+            masses = masses.sum(axis=-1).reshape(-1, 2) * scales[:, None]
             mass0, mass1 = masses[child, 0], masses[child, 1]
-            bit = (mass1 > 0) & (block >= below + mass0)  # draws >= below always
+            bit = (mass1 > 0) & (draws[shots] >= below + mass0)  # draws >= below always
             below += np.where(bit, mass0, 0.0)
-            outcomes[start : start + step, qubit] = bit
-            vectors, node = children.reshape(2 * len(keys), -1), 2 * child + bit  # key k, bit b: row 2k + b
+            outcomes[shots, qubit] = bit
+            node = 2 * child + bit
     return outcomes
 
 

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from pauli_shadows import (
     GroundStateConvergenceError,
     Hamiltonian,
-    ProductBasisSampler,
     StateVector,
-    estimate_energy,
     expectation,
     ground_state,
     hamiltonian_expectation,
@@ -21,9 +19,8 @@ from pauli_shadows import (
     measurement_distribution,
     parse_hamiltonian,
     sample_measurement,
-    uniform_distribution,
 )
-from pauli_shadows import estimation, states
+from pauli_shadows import states
 from pauli_shadows.paulis import letter_codes
 from pauli_shadows.states import load_state, sigmas_from_index
 
@@ -201,6 +198,24 @@ def sorted_basis_rows(draw):
     return n, np.array(sorted(rows), dtype=np.uint8)
 
 
+def sparsify(rng: np.random.Generator, amplitudes: np.ndarray) -> np.ndarray:
+    """``amplitudes`` with about 70% of them zeroed and one set to 1, renormalized: some branches have zero mass."""
+    amplitudes[rng.random(amplitudes.size) < 0.7] = 0.0
+    amplitudes[rng.integers(amplitudes.size)] = 1.0
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
+def assert_searchsorted_outcomes(state, bases, u, drawn):
+    """Each drawn outcome is the one ``searchsorted`` picks on its basis' oracle cumulative table."""
+    cumulatives = {}
+    for row, uniform, outcome in zip(bases, u, drawn @ (1 << np.arange(state.n - 1, -1, -1))):
+        key = row.tobytes()
+        if key not in cumulatives:
+            cumulatives[key] = np.cumsum(reshape_loop_probs(state.amplitudes, row))
+            cumulatives[key] /= cumulatives[key][-1]
+        assert outcome == np.searchsorted(cumulatives[key], uniform, side="right")
+
+
 class TestOutcomeTables:
     @given(case=sorted_basis_rows(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -221,7 +236,7 @@ class TestOutcomeTables:
     def test_draw_matches_searchsorted_on_oracle_table(self, case, seed, kind, cells):
         # A basis state |k> read in Z, or a random state with zeroed
         # amplitudes, has branches with p0 = 0 and p0 = 1; a small
-        # _DRAW_CELLS splits the shots into many blocks.
+        # _DRAW_CELLS splits the shots into many parts.
         n, rows = case
         rng = np.random.default_rng(seed)
         amplitudes = random_state_amplitudes(rng, n)
@@ -229,9 +244,7 @@ class TestOutcomeTables:
             amplitudes = np.zeros(2**n)
             amplitudes[rng.integers(2**n)] = 1.0
         elif kind == "sparse":
-            amplitudes[rng.random(2**n) < 0.7] = 0.0
-            amplitudes[rng.integers(2**n)] = 1.0
-            amplitudes /= np.linalg.norm(amplitudes)
+            amplitudes = sparsify(rng, amplitudes)
         state = StateVector(amplitudes)
         bases = rows[rng.integers(len(rows), size=200)]
         u = rng.random(len(bases))
@@ -240,51 +253,82 @@ class TestOutcomeTables:
             if cells is not None:
                 patch.setattr(states, "_DRAW_CELLS", cells)
             drawn = states.draw_outcomes(state, bases, u)
-        cumulatives = {}
-        for row, uniform, outcome in zip(bases, u, drawn @ (1 << np.arange(n - 1, -1, -1))):
-            key = row.tobytes()
-            if key not in cumulatives:
-                cumulatives[key] = np.cumsum(reshape_loop_probs(state.amplitudes, row))
-                cumulatives[key] /= cumulatives[key][-1]
-            assert outcome == np.searchsorted(cumulatives[key], uniform, side="right")
+        assert_searchsorted_outcomes(state, bases, u, drawn)
 
-    def test_draw_rotates_at_most_three_times_per_qubit_per_block(self, monkeypatch):
-        # Shots that share a (letter, bit) prefix share its rotation, so in
-        # each draw block qubit q rotates at most one row per prefix, 3 * 6**q
-        # of them, and never more rows than the block has shots.
-        h = load_hamiltonian(FIXTURE_DIR / "fixture_c_8q.ham")
-        _, state = ground_state(h)
-        rotate, draw = states._rotate_leading, estimation.draw_outcomes
-        calls, shots = [], []  # (row length, rows) per rotation; shots per draw block
+    def test_draw_splits_below_the_root_as_the_oracle_draws(self, monkeypatch):
+        # 2000 shots from six bases on 10 qubits with a budget of 2^9
+        # amplitudes: parts of several shots split again at qubits >= 2.
+        rng = np.random.default_rng(19)
+        n = 10
+        state = StateVector(random_state_amplitudes(rng, n))
+        families = rng.integers(1, 4, size=(6, n)).astype(np.uint8)
+        bases = families[rng.integers(len(families), size=2000)]
+        u = rng.random(len(bases))
+        u[:2] = 0.0, np.nextafter(1.0, 0.0)
+        rotate, calls = states._rotate_leading, []  # (qubit, rows) per rotation
 
         def recording_rotate(psi, code):
-            calls.append((psi.shape[-1], len(psi)))
-            return rotate(psi, code)
-
-        def recording_draw(state, bases, u):
-            step = max(1, states._DRAW_CELLS >> state.n)
-            shots.extend(len(bases[start : start + step]) for start in range(0, len(bases), step))
-            return draw(state, bases, u)
+            calls.append((n + 1 - psi.shape[-1].bit_length(), len(psi)))
+            rotate(psi, code)
 
         monkeypatch.setattr(states, "_rotate_leading", recording_rotate)
-        monkeypatch.setattr(estimation, "draw_outcomes", recording_draw)
-        # The default single block of 1000 shots, then blocks of 300 (the last one partial).
-        for cells, blocks in ((states._DRAW_CELLS, 1), (300 << h.n, 4)):
+        monkeypatch.setattr(states, "_DRAW_CELLS", 2**9)
+        drawn = states.draw_outcomes(state, bases, u)
+        assert_searchsorted_outcomes(state, bases, u, drawn)
+        for qubit in range(2, n):  # more than one part, and parts of more than one key, at each qubit >= 2
+            rows = [count for at, count in calls if at == qubit]
+            assert len(rows) > 2 and max(rows) > 1
+
+    @pytest.mark.parametrize("kind", ["random", "sparse"])
+    def test_draw_does_not_depend_on_the_budget(self, kind):
+        rng = np.random.default_rng(23)
+        for n in range(6, 13):
+            amplitudes = random_state_amplitudes(rng, n)
+            state = StateVector(amplitudes if kind == "random" else sparsify(rng, amplitudes))
+            families = rng.integers(1, 4, size=(4, n)).astype(np.uint8)
+            bases = np.concatenate(
+                (rng.integers(1, 4, size=(200, n)).astype(np.uint8), families[rng.integers(len(families), size=200)])
+            )
+            u = rng.random(len(bases))
+            u[:2] = 0.0, np.nextafter(1.0, 0.0)
+            expected = states.draw_outcomes(state, bases, u)
+            for cells in (1, 2**6, 2**10):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(states, "_DRAW_CELLS", cells)
+                    assert np.array_equal(states.draw_outcomes(state, bases, u), expected), (n, cells)
+
+    def test_draw_rotates_each_prefix_once_within_the_budget(self, monkeypatch):
+        # Shots that share a (letter, bit) prefix share its rotation, and a
+        # split hands each prefix to one part, so in one call qubit q rotates
+        # at most one row per prefix, 3 * 6**q of them, and never more rows
+        # than there are shots. Each rotation works on rows of its step's
+        # stack, which holds at most _DRAW_CELLS amplitudes unless the step
+        # has a single prefix key (one 2^(n-q) row per bit).
+        h = load_hamiltonian(FIXTURE_DIR / "fixture_c_8q.ham")
+        _, state = ground_state(h)
+        rng = np.random.default_rng(2)
+        shots = 1000
+        bases = rng.integers(1, 4, size=(shots, h.n)).astype(np.uint8)
+        u = rng.random(shots)
+        rotate, calls = states._rotate_leading, []  # (qubit, rows, amplitudes of the step's stack)
+
+        def recording_rotate(psi, code):
+            calls.append((h.n + 1 - psi.shape[-1].bit_length(), len(psi), psi.base.size))
+            rotate(psi, code)
+
+        monkeypatch.setattr(states, "_rotate_leading", recording_rotate)
+        unsplit = states.draw_outcomes(state, bases, u)
+        # The default budget holds each step of 1000 shots on 8 qubits: one X and one Y rotation per qubit.
+        assert [at for at, _, _ in calls] == [q for q in range(h.n) for _ in range(2)]
+        for cells in (states._DRAW_CELLS, 2**11):  # 2^11: the shots split from qubit 1 on
             calls.clear()
-            shots.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(states, "_DRAW_CELLS", cells)
-                estimate_energy(h, state, 1000, ProductBasisSampler(uniform_distribution(h.n)), np.random.default_rng(2))
-            rows, previous = [], 0  # per draw block, the rows rotated at each qubit
-            for length, count in calls:
-                if length == 2**h.n and previous != length:  # the first rotation of a block
-                    rows.append([0] * h.n)
-                rows[-1][h.n + 1 - length.bit_length()] += count  # a 2^(n-q)-long row is at qubit q
-                previous = length
-            assert 0 < len(calls) <= 3 * h.n * len(shots)
-            assert len(rows) == len(shots) == blocks
-            for block, rotated in zip(shots, rows):
-                assert all(0 < rotated[q] <= min(block, 3 * 6**q) for q in range(h.n))
+                assert np.array_equal(states.draw_outcomes(state, bases, u), unsplit)
+            for q in range(h.n):
+                assert 0 < sum(rows for at, rows, _ in calls if at == q) <= min(shots, 3 * 6**q)
+            assert all(stack <= max(cells, 2 ** (h.n - at)) for at, _, stack in calls)
+        assert sum(at == 0 for at, _, _ in calls) == 2 and sum(at == 1 for at, _, _ in calls) > 2
 
     def test_row_width_must_match_state(self):
         zero = StateVector.zero_state(2)
