@@ -167,9 +167,8 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
         exact, state = ground_state(hamiltonian)  # <psi|H|psi> of the returned state
     else:
         state_source = str(config.state_path)
-        text = Path(config.state_path).read_text(encoding="utf-8")
         try:
-            state = load_state(text, hamiltonian.n)
+            state = load_state(Path(config.state_path).read_text(encoding="utf-8"), hamiltonian.n)
         except ValueError as exc:
             raise ValueError(f"{config.state_path}: {exc}") from None
         exact = hamiltonian_expectation(state, hamiltonian)

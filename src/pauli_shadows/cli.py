@@ -25,13 +25,15 @@ from .benchmark import (
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hamiltonian", required=True, help="Hamiltonian file path")
-    parser.add_argument("--shots", type=int, default=1000, help="measurements per repetition")
-    parser.add_argument("--reps", type=int, default=10, help="independent repetitions")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--state", default=None, help="state file path (default: ground state)")
-    parser.add_argument("--lbcs-tol", type=float, default=1e-10, help="LBCS descent tolerance (>= 0)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel repetition workers")
+    parser.add_argument("--hamiltonian", dest="hamiltonian_path", metavar="HAMILTONIAN", required=True,
+                        help="Hamiltonian file path")
+    parser.add_argument("--shots", type=int, help="measurements per repetition")
+    parser.add_argument("--reps", dest="repetitions", metavar="REPS", type=int, help="independent repetitions")
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
+    parser.add_argument("--state", dest="state_path", metavar="STATE",
+                        help="state file path (default: ground state)")
+    parser.add_argument("--lbcs-tol", type=float, help="LBCS descent tolerance (>= 0)")
+    parser.add_argument("--workers", type=int, help="parallel repetition workers")
     parser.add_argument("--out", required=True, help="report output path")
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="report format")
 
@@ -44,12 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    estimate = subparsers.add_parser("estimate", help="benchmark a single method")
+    # Each flag but --out and --format sets the ExperimentConfig field of its dest, or leaves its default.
+    estimate = subparsers.add_parser("estimate", help="benchmark a single method", argument_default=argparse.SUPPRESS)
     estimate.add_argument("--method", required=True, choices=METHODS, help="basis-selection method")
     _add_common_arguments(estimate)
 
-    compare = subparsers.add_parser("compare", help="benchmark cs, lbcs, and aps together")
-    compare.set_defaults(method=METHODS[0])  # unused: compare runs every method
+    compare = subparsers.add_parser("compare", help="benchmark cs, lbcs, and aps together",
+                                    argument_default=argparse.SUPPRESS)
     _add_common_arguments(compare)
     return parser
 
@@ -64,30 +67,21 @@ def _summarize(report: BenchmarkReport) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command, out, output_format = options.pop("command"), options.pop("out"), options.pop("format")
     try:
-        config = ExperimentConfig(
-            hamiltonian_path=args.hamiltonian,
-            method=args.method,
-            shots=args.shots,
-            repetitions=args.reps,
-            master_seed=args.seed,
-            state_path=args.state,
-            lbcs_tol=args.lbcs_tol,
-            workers=args.workers,
-        )
-        if args.command == "estimate":
+        config = ExperimentConfig(**options)
+        if command == "estimate":
             reports = [run_benchmark(config)]
         else:
             reports = compare_methods(config)
-        write_reports(reports, args.out, args.format)
+        write_reports(reports, out, output_format)
     except Exception as exc:  # surface a diagnostic, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for report in reports:
         print(_summarize(report))
-    print(f"wrote {args.format} report to {args.out}")
+    print(f"wrote {output_format} report to {out}")
     return 0
 
 

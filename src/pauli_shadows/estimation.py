@@ -5,30 +5,22 @@ shot once, and fold the ±1 product of every covered term into that
 term's integer sum and count. A term is covered when each of its
 non-identity letters matches the basis. The energy estimate is the
 coefficient-weighted sum of the per-term means plus the Hamiltonian's
-constant offset.
+constant offset. Each strategy is a ``sampling.BasisSampler`` subclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .paulis import CODE_I, Hamiltonian, keep_table
+from .sampling import BasisSampler
 from .states import StateVector, draw_outcomes
 
 # Cap on cells in one block of shots: its (shot, term) APS stage masks and
 # fold product, and its (shot, uniform) draws, each hold at most that many.
 _BLOCK_CELLS = 1 << 18
-
-
-class BasisSampler(Protocol):
-    """Maps blocks of uniform draws to measurement bases, one row per shot."""
-
-    uniforms: int  # U[0, 1) draws per shot
-
-    def bases(self, u: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
@@ -102,14 +94,12 @@ def estimate_energy(
     if state.n != hamiltonian.n:
         raise ValueError("state and Hamiltonian qubit counts differ")
 
-    sums, counts = np.zeros((2, hamiltonian.n_terms), dtype=np.int64)
+    sums, counts = totals = np.zeros((2, hamiltonian.n_terms), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // max(hamiltonian.n_terms, sampler.uniforms + 1))
     for start in range(0, shots, step):
         u = rng.random((min(step, shots - start), sampler.uniforms + 1))
         bases = sampler.bases(u[:, :-1])
-        block_sums, block_counts = _fold(hamiltonian.codes, bases, draw_outcomes(state, bases, u[:, -1]))
-        sums += block_sums
-        counts += block_counts
+        totals += _fold(hamiltonian.codes, bases, draw_outcomes(state, bases, u[:, -1]))  # (sums, counts)
 
     result = EstimationResult(
         energy=hamiltonian.offset,

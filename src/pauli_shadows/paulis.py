@@ -178,13 +178,14 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
 def load_hamiltonian(path) -> Hamiltonian:
     """Read and parse a Hamiltonian file, adding the filename to any error.
 
-    The error keeps its type and attributes, so a format error still
-    carries its ``line_number``.
+    A parse error keeps its type and attributes, so a format error still
+    carries its ``line_number``; a file that is not UTF-8 raises a plain ``ValueError``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return parse_hamiltonian(text)
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_hamiltonian(handle.read())
+    except UnicodeDecodeError as exc:  # prints its own fields, not its args, so it cannot carry the filename
+        raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -189,12 +189,21 @@ def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t0, t1
 
 
-def _word(codes: np.ndarray) -> str:
-    """The basis word of one row of letter codes."""
-    return "".join(LETTERS[code] for code in codes.tolist())
+class BasisSampler:
+    """Maps blocks of uniform draws to measurement bases, one row per shot; a subclass defines ``bases``."""
+
+    uniforms: int  # U[0, 1) draws per shot
+
+    def bases(self, u: np.ndarray) -> np.ndarray:
+        """Map a (shots, ``uniforms``) block of U[0, 1) draws to (shots, n) letter codes."""
+        raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator) -> str:
+        """One basis word such as ``"XZY"``: ``bases`` of one row of ``uniforms`` draws of ``rng``."""
+        return "".join(LETTERS[code] for code in self.bases(rng.random((1, self.uniforms)))[0].tolist())
 
 
-class ProductBasisSampler:
+class ProductBasisSampler(BasisSampler):
     """Draws measurement bases from a fixed product distribution.
 
     ``bases`` uses one uniform draw per qubit: column q of a row decides
@@ -210,11 +219,8 @@ class ProductBasisSampler:
         """Map a (shots, n) block of U[0, 1) draws to (shots, n) letter codes."""
         return (1 + (u >= self._t0) + (u >= self._t1)).astype(np.uint8)
 
-    def sample(self, rng: np.random.Generator) -> str:
-        return _word(self.bases(rng.random((1, self.uniforms)))[0])
 
-
-class AdaptiveBasisSampler:
+class AdaptiveBasisSampler(BasisSampler):
     """Draws measurement bases by per-shot adaptive selection (APS).
 
     ``bases`` uses two uniform draws per qubit. The first n columns of a
@@ -268,6 +274,3 @@ class AdaptiveBasisSampler:
             codes[rows, qubits] = letters
             alive &= self._keep[qubits, letters - 1]
         return codes
-
-    def sample(self, rng: np.random.Generator) -> str:
-        return _word(self.bases(rng.random((1, self.uniforms)))[0])

@@ -6,8 +6,8 @@ flip groups and ``_apply_compiled`` applies them: one string for
 and the matrix-free Lanczos solver ``ground_state``. One rotation
 kernel, ``_rotate_leading``, which rotates the leading qubit of each
 row of a stack in place, serves the exact tables of
-``measurement_distribution`` and ``sample_measurement`` and the
-table-free, breadth-first ``draw_outcomes``.
+``measurement_distribution`` and ``sample_measurement``, the table-free,
+breadth-first ``draw_outcomes`` and, as a Hadamard butterfly, ``_compile``.
 Amplitude index convention: qubit 0 is the most significant bit of the
 basis-state index.
 """
@@ -91,7 +91,8 @@ def _compile(codes: np.ndarray, coeffs: np.ndarray) -> list[tuple[tuple[slice, .
     depends only on the qubits where some row of the group has a Y or
     Z, so it is stored over those alone, with size-1 axes elsewhere, as
     the Walsh-Hadamard transform of the group's coefficients placed at
-    their sign masks. One string gives one group of ±1 or ±i entries.
+    their sign masks, by ``_rotate_leading``'s X rotation on each of those
+    qubits. One string gives one group of ±1 or ±i entries.
     """
     flips = (codes == CODE_X) | (codes == CODE_Y)
     signs = (codes == CODE_Y) | (codes == CODE_Z)
@@ -107,8 +108,7 @@ def _compile(codes: np.ndarray, coeffs: np.ndarray) -> list[tuple[tuple[slice, .
         diag = np.zeros(2**m, dtype=np.complex128)
         diag[signs[rows][:, support] @ weights] = coeffs[rows]  # strings of a group differ in signs
         for qubit in range(m):
-            block = diag.reshape(2**qubit, 2, -1)
-            diag = np.concatenate((block[:, :1] + block[:, 1:], block[:, :1] - block[:, 1:]), axis=1)
+            _rotate_leading(diag.reshape(2**qubit, -1), CODE_X)
         flip_index = tuple(slice(None, None, -1) if f else slice(None) for f in flips[rows[0]])
         groups.append((flip_index, diag.reshape([2 if q else 1 for q in support])))
     return groups

@@ -1,10 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from pauli_shadows import ExperimentConfig
 from pauli_shadows.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -89,7 +97,86 @@ class TestCompare:
         assert [r["method"] for r in payload["reports"]] == ["cs", "lbcs", "aps"]
 
 
+class TestDefaults:
+    """A flag left out keeps the ExperimentConfig field's default."""
+
+    DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+
+    def _assert_defaults(self, report):
+        assert report["shots"] == self.DEFAULTS["shots"]
+        assert report["repetitions"] == self.DEFAULTS["repetitions"]
+        assert report["master_seed"] == self.DEFAULTS["master_seed"]
+        assert report["lbcs_tol"] == self.DEFAULTS["lbcs_tol"]
+        assert report["state_source"] == "ground_state"  # state_path None
+        assert len(report["estimates"]) == self.DEFAULTS["repetitions"]
+
+    def test_estimate_with_only_required_flags(self, ham_file, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["estimate", "--hamiltonian", ham_file, "--method", "lbcs", "--out", out]) == 0
+        [report] = json.loads(out.read_text())["reports"]
+        assert report["method"] == "lbcs"
+        self._assert_defaults(report)
+
+    def test_compare_with_only_required_flags(self, ham_file, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["compare", "--hamiltonian", ham_file, "--out", out]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["method"] for r in reports] == ["cs", "lbcs", "aps"]
+        for report in reports:
+            self._assert_defaults(report)
+
+    def test_compare_takes_no_method(self, ham_file, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["compare", "--hamiltonian", ham_file, "--method", "cs", "--out", tmp_path / "r.json"])
+        assert excinfo.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m pauli_shadows.cli`` goes through ``cli.run`` and exits with ``main``'s code."""
+
+    @staticmethod
+    def _run_module(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "pauli_shadows.cli", *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_good_run_exits_zero(self, ham_file, tmp_path):
+        out = tmp_path / "r.json"
+        done = self._run_module("estimate", "--hamiltonian", ham_file, "--method", "cs",
+                                "--shots", 20, "--reps", 2, "--out", out)
+        assert done.returncode == 0, done.stderr
+        assert f"wrote json report to {out}" in done.stdout
+        assert json.loads(out.read_text())["reports"][0]["shots"] == 20
+
+    def test_bad_config_exits_two(self, ham_file, tmp_path):
+        done = self._run_module("estimate", "--hamiltonian", ham_file, "--method", "cs",
+                                "--shots", 0, "--out", tmp_path / "r.json")
+        assert done.returncode == 2
+        assert "error: shots must be at least 1" in done.stderr
+
+
 class TestErrors:
+    def test_non_utf8_hamiltonian_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bin.ham"
+        bad.write_bytes(b"\xff0.5 XZ\n")
+        code = run_cli(["estimate", "--hamiltonian", bad, "--method", "cs", "--out", tmp_path / "r.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and "utf-8" in err
+
+    def test_non_utf8_state_names_the_file(self, ham_file, tmp_path, capsys):
+        bad = tmp_path / "bin.state"
+        bad.write_bytes(b"\xff 1 0\n0 0\n0 0\n0 0\n")
+        code = run_cli(
+            ["estimate", "--hamiltonian", ham_file, "--method", "cs", "--state", bad, "--out", tmp_path / "r.json"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and "utf-8" in err
+
     def test_missing_hamiltonian_file(self, tmp_path, capsys):
         code = run_cli(
             ["estimate", "--hamiltonian", tmp_path / "nope.ham", "--method", "cs",

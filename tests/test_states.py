@@ -1,6 +1,7 @@
 """Tests for the dense statevector simulation."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_shadows import (
+    CapacityError,
     GroundStateConvergenceError,
     Hamiltonian,
+    ProductBasisSampler,
     StateVector,
+    estimate_energy,
     expectation,
     ground_state,
     hamiltonian_expectation,
@@ -19,6 +23,7 @@ from pauli_shadows import (
     measurement_distribution,
     parse_hamiltonian,
     sample_measurement,
+    uniform_distribution,
 )
 from pauli_shadows import states
 from pauli_shadows.paulis import letter_codes
@@ -487,6 +492,46 @@ class TestGroundState:
         assert counts["applies"] <= counts["iterations"] + 1
         residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
         assert np.linalg.norm(residual) <= 1e-8
+
+
+class TestCapacity:
+    """The dense simulator's qubit cap, ``MAX_TABLE_QUBITS``, on each path that holds 2^n amplitudes."""
+
+    def test_ground_state_refuses_before_allocating(self):
+        h = Hamiltonian(21, [(1.0, "Z" + "I" * 20)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                ground_state(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 2^21-amplitude start vector alone is 32 MiB
+
+    @pytest.fixture
+    def cap_three(self, monkeypatch):
+        monkeypatch.setattr(states, "MAX_TABLE_QUBITS", 3)
+
+    def test_tables_and_draws_stop_above_the_cap(self, cap_three):
+        rng = np.random.default_rng(3)
+        big = StateVector(random_state_amplitudes(rng, 4))
+        with pytest.raises(CapacityError):
+            measurement_distribution(big, "XYZX")
+        with pytest.raises(CapacityError):
+            sample_measurement(big, "XYZX", rng)
+        with pytest.raises(CapacityError):
+            states.draw_outcomes(big, np.full((2, 4), 3, dtype=np.uint8), np.zeros(2))
+        h = Hamiltonian(4, [(1.0, "ZZII"), (0.5, "IXXI")])
+        with pytest.raises(CapacityError):
+            estimate_energy(h, big, 10, ProductBasisSampler(uniform_distribution(4)), rng)
+
+    def test_the_cap_itself_is_allowed(self, cap_three):
+        rng = np.random.default_rng(4)
+        state = StateVector(random_state_amplitudes(rng, 3))
+        assert measurement_distribution(state, "XYZ").sum() == pytest.approx(1.0, abs=1e-10)
+        assert states.draw_outcomes(state, np.full((2, 3), 3, dtype=np.uint8), np.zeros(2)).shape == (2, 3)
+        h = Hamiltonian(3, [(1.0, "ZZI")])
+        assert math.isfinite(estimate_energy(h, state, 10, ProductBasisSampler(uniform_distribution(3)), rng).energy)
 
 
 def _operator_test_hamiltonian(rng: np.random.Generator, n: int, n_terms: int) -> Hamiltonian:
