@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -174,7 +175,7 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
         exact = hamiltonian_expectation(state, hamiltonian)
 
     reports = []
-    workers = min(config.workers, config.repetitions)
+    workers = min(config.workers, config.repetitions, os.cpu_count() or 1)  # a fork pool starts them all at once
     if workers > 1:  # the pool's import alone costs a one-worker run memory and start-up time
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

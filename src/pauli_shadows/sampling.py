@@ -116,11 +116,8 @@ def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
     coverage = _term_factors(hamiltonian.codes, probs).prod(axis=1)
     if np.any(coverage == 0.0):
         return math.inf
-    total = 0.0
     with np.errstate(over="ignore"):
-        for share in (masses / coverage).tolist():
-            total += share  # in term order: a pairwise np.sum moves predicted_error's last digit
-    return _finite(total, "the diagonal cost's shares")
+        return _finite(float(np.sum(masses / coverage)), "the diagonal cost's shares")
 
 
 def locally_biased_distribution(
@@ -140,8 +137,6 @@ def locally_biased_distribution(
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
-    if hamiltonian.n_terms == 0:
-        return uniform_distribution(hamiltonian.n)
 
     codes = hamiltonian.codes
     masses_all = _term_masses(hamiltonian)
@@ -175,18 +170,18 @@ def locally_biased_distribution(
 _LETTER_CODES = np.array([CODE_X, CODE_Y, CODE_Z])
 
 
-def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative thresholds of (p_X, p_Y, p_Z) rows for one uniform draw each.
+def _draw_letters(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Letter codes (uint8, 1 to 3 for X to Z) that U[0, 1) draws ``u`` pick from (p_X, p_Y, p_Z) rows.
 
-    A draw u picks X iff u < t0, Y iff t0 <= u < t1, else Z. A
-    zero-probability letter gets a zero-width interval, so it is never
-    drawn, even when rounding leaves the row summing slightly below one.
+    Cumulative thresholds: a draw picks X iff u < t0, Y iff t0 <= u < t1,
+    else Z. A zero-probability letter gets a zero-width interval, so it is
+    never drawn, even when rounding leaves the row summing slightly below one.
     """
     t0 = probs[..., 0].copy()
     t1 = probs[..., 0] + probs[..., 1]
     t1[probs[..., 2] == 0.0] = 1.0
     t0[(probs[..., 1] == 0.0) & (probs[..., 2] == 0.0)] = 1.0
-    return t0, t1
+    return (1 + (u >= t0) + (u >= t1)).astype(np.uint8)
 
 
 class BasisSampler:
@@ -211,13 +206,12 @@ class ProductBasisSampler(BasisSampler):
     """
 
     def __init__(self, distribution):
-        probs = product_distribution(distribution)
-        self.uniforms = probs.shape[0]
-        self._t0, self._t1 = _thresholds(probs)
+        self._probs = product_distribution(distribution)
+        self.uniforms = self._probs.shape[0]
 
     def bases(self, u: np.ndarray) -> np.ndarray:
         """Map a (shots, n) block of U[0, 1) draws to (shots, n) letter codes."""
-        return (1 + (u >= self._t0) + (u >= self._t1)).astype(np.uint8)
+        return _draw_letters(self._probs, u)
 
 
 class AdaptiveBasisSampler(BasisSampler):
@@ -268,9 +262,7 @@ class AdaptiveBasisSampler(BasisSampler):
             for qubit in np.flatnonzero(np.bincount(qubits, minlength=n)):  # qubits in this stage
                 at = qubits == qubit
                 masses[at] = alive[at].astype(np.float64) @ self._weights[qubit]
-            t0, t1 = _thresholds(closed_form_distribution(masses))
-            draws = u[:, n + stage]
-            letters = (1 + (draws >= t0) + (draws >= t1)).astype(np.uint8)
+            letters = _draw_letters(closed_form_distribution(masses), u[:, n + stage])
             codes[rows, qubits] = letters
             alive &= self._keep[qubits, letters - 1]
         return codes

@@ -252,13 +252,14 @@ def ground_state(
 ) -> tuple[float, StateVector]:
     """Lowest eigenpair of a Pauli-sum Hamiltonian, computed matrix-free.
 
-    Runs Lanczos with full reorthogonalization from a deterministic
-    seeded start vector, so repeated calls return the same state even
-    when the ground space is degenerate. H is compiled once and applied
-    once per iteration; the Ritz vector is formed only once the residual
-    estimate ``|beta_k y_k[-1]|`` reaches ``tol``, and one more
-    application confirms it. The returned energy is <psi|H|psi> of the
-    returned state plus the offset, and ``|H|psi> - E|psi>| <= tol``.
+    Runs Lanczos from a deterministic seeded start vector, so repeated
+    calls return the same state even when the ground space is
+    degenerate. Full reorthogonalization is its only orthogonalization.
+    H is compiled once and applied once per iteration; the Ritz vector
+    is formed only once the residual estimate ``|beta_k y_k[-1]|``
+    reaches ``tol``, and one more application confirms it. The returned
+    energy is <psi|H|psi> of the returned state plus the offset, and
+    ``|H|psi> - E|psi>| <= tol``.
 
     The Krylov basis keeps one 16 * 2^n-byte vector per iteration: 64 KiB
     at 12 qubits, 16 MiB at 20 qubits.
@@ -267,8 +268,6 @@ def ground_state(
         raise ValueError("max_iter must be at least 1")
     if hamiltonian.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"ground_state supports at most {MAX_TABLE_QUBITS} qubits")
-    if hamiltonian.n_terms == 0:
-        return hamiltonian.offset, StateVector.zero_state(hamiltonian.n)
 
     groups = _compile(hamiltonian.codes, hamiltonian.coeffs)
     dim = 2**hamiltonian.n
@@ -280,26 +279,20 @@ def ground_state(
     diag: list[float] = []
     offdiag: list[float] = []
 
-    w = _apply_compiled(start, groups)
     for iteration in range(max_iter):
-        v = basis_vectors[-1]
-        alpha = float(np.vdot(v, w).real)
-        diag.append(alpha)
-        w = w - alpha * v
-        if len(basis_vectors) > 1:
-            w = w - offdiag[-1] * basis_vectors[-2]
-        # Full reorthogonalization, twice for numerical safety.
+        w = _apply_compiled(basis_vectors[-1], groups)
+        diag.append(float(np.vdot(basis_vectors[-1], w).real))
+        # Full reorthogonalization, twice for numerical safety, also removes the three-term recurrence's terms.
         for _ in range(2):
             for u in basis_vectors:
-                w = w - np.vdot(u, w) * u
+                w -= np.vdot(u, w) * u
         beta = float(np.linalg.norm(w))
 
         tri = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
         values, vectors = np.linalg.eigh(tri)
         theta, y = float(values[0]), vectors[:, 0]
-        # Krylov space exhausted: the Ritz pair cannot improve further.
-        exhausted = beta < 1e-13 or len(basis_vectors) == dim
-        last = exhausted or iteration == max_iter - 1
+        # Past an exhausted Krylov space (beta ~ 0 or full dimension) the Ritz pair cannot improve.
+        last = beta < 1e-13 or len(basis_vectors) == dim or iteration == max_iter - 1
         if last or abs(beta * y[-1]) <= tol:
             candidate = np.zeros(dim, dtype=np.complex128)
             for coeff, u in zip(y, basis_vectors):
@@ -319,7 +312,6 @@ def ground_state(
 
         offdiag.append(beta)
         basis_vectors.append(w / beta)
-        w = _apply_compiled(basis_vectors[-1], groups)
 
 
 def load_state(text: str, n: int) -> StateVector:

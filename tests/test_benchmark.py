@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -217,11 +218,33 @@ class TestCompareMethods:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on a one-core runner
         serial = reports_to_json(compare_methods(config))
         assert pools == []
         parallel = reports_to_json(compare_methods(replace(config, workers=2)))
         assert len(pools) == 1
         assert parallel == serial
+
+    def test_pool_is_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
+        # A fork pool starts all of its workers at the first submit, so --workers 500 would fork 500.
+        import concurrent.futures
+        from dataclasses import replace
+
+        path = tmp_path / "h.ham"
+        path.write_text("0.5 XZ\n-0.25 ZI\n")
+        config = ExperimentConfig(hamiltonian_path=str(path), shots=50, repetitions=8, master_seed=4)
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capped = run_benchmark(replace(config, workers=8))
+        assert sizes == [2]
+        assert reports_to_json([capped]) == reports_to_json([run_benchmark(config)])
 
 
 class TestReportFormats:

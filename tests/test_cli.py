@@ -97,6 +97,20 @@ class TestCompare:
         assert [r["method"] for r in payload["reports"]] == ["cs", "lbcs", "aps"]
 
 
+    def test_identity_only_hamiltonian(self, tmp_path):
+        # No terms: the exact energy and every estimate are the offset itself.
+        ham = tmp_path / "identity.ham"
+        ham.write_text("0.75 II\n")
+        out = tmp_path / "cmp.json"
+        assert run_cli(["compare", "--hamiltonian", ham, "--shots", 50, "--reps", 3, "--out", out]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        for report in reports:
+            assert report["exact_energy"] == 0.75
+            assert report["estimates"] == [0.75] * 3
+            assert report["rms_error"] == 0.0
+        assert [r["predicted_error"] for r in reports] == [0.0, 0.0, None]
+
+
 class TestDefaults:
     """A flag left out keeps the ExperimentConfig field's default."""
 
