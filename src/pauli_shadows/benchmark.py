@@ -14,6 +14,7 @@ the CSV output and on the in-memory report object.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -59,7 +60,6 @@ class ExperimentConfig:
     repetitions: int = 10
     master_seed: int = 0
     state_path: str | None = None  # None -> compute the ground state
-    lbcs_tol: float = 1e-10
     workers: int = 1
 
     def __post_init__(self):
@@ -71,9 +71,6 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        # The report writes lbcs_tol into its JSON, which has no NaN or infinity.
-        if not (math.isfinite(self.lbcs_tol) and self.lbcs_tol >= 0):
-            raise ValueError(f"lbcs_tol must be a nonnegative number, got {self.lbcs_tol!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -83,7 +80,6 @@ class BenchmarkReport:
     """Statistics of one method's run of ``config`` (``config.method`` is that method)."""
 
     config: ExperimentConfig
-    state_source: str
     n_qubits: int
     n_terms: int
     exact_energy: float
@@ -109,14 +105,13 @@ class BenchmarkReport:
         return {
             "method": config.method,
             "hamiltonian": str(config.hamiltonian_path),
-            "state_source": self.state_source,
+            "state_source": "ground_state" if config.state_path is None else str(config.state_path),
             "n_qubits": self.n_qubits,
             "n_terms": self.n_terms,
             "shots": config.shots,
             "repetitions": config.repetitions,
             "master_seed": config.master_seed,
             "seed_rule": "repetition r uses SeedSequence([master_seed, r])",
-            "lbcs_tol": config.lbcs_tol,
             "error_definitions": {
                 "rms_error": "sqrt(mean((estimate - exact_energy)^2)) over repetitions",
                 "mean_abs_error": "mean(|estimate - exact_energy|) over repetitions",
@@ -147,8 +142,7 @@ class BenchmarkReport:
         ]
 
 
-def _run_repetition(args) -> tuple[float, int]:
-    hamiltonian, state, sampler, shots, master_seed, repetition = args
+def _run_repetition(hamiltonian, state, sampler, shots, master_seed, repetition) -> tuple[float, int]:
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, repetition]))
     result = estimate_energy(hamiltonian, state, shots, sampler, rng)
     return result.energy, len(result.uncovered_terms)
@@ -158,16 +152,15 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
     """One report per method of ``methods``, all with the shots, repetitions and seeds of ``config``.
 
     The Hamiltonian, the state and the exact energy are resolved once, and
-    at most one process pool runs the repetitions of every method. The
-    first report's timings include that set-up.
+    at most one process pool runs the repetitions of every method, one
+    chunk per worker, so a worker unpickles the state and sampler once per
+    method. The first report's timings include that set-up.
     """
     started = time.perf_counter()
     hamiltonian = load_hamiltonian(config.hamiltonian_path)
     if config.state_path is None:
-        state_source = "ground_state"
         exact, state = ground_state(hamiltonian)  # <psi|H|psi> of the returned state
     else:
-        state_source = str(config.state_path)
         try:
             state = load_state(Path(config.state_path).read_text(encoding="utf-8"), hamiltonian.n)
         except ValueError as exc:
@@ -184,28 +177,24 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
             build_started = time.perf_counter()
             distribution: np.ndarray | None = None
             cost: float | None = None
-            if method == "cs":
-                distribution = uniform_distribution(hamiltonian.n)
-            elif method == "lbcs":
-                distribution = locally_biased_distribution(hamiltonian, tol=config.lbcs_tol)
-            if distribution is None:
+            if method == "aps":
                 sampler = AdaptiveBasisSampler(hamiltonian)
             else:
+                distribution = (uniform_distribution(hamiltonian.n) if method == "cs"
+                                else locally_biased_distribution(hamiltonian))
                 sampler = ProductBasisSampler(distribution)
                 cost = diagonal_cost(hamiltonian, distribution)
             build_seconds = time.perf_counter() - build_started
 
-            jobs = [
-                (hamiltonian, state, sampler, config.shots, config.master_seed, r)
-                for r in range(config.repetitions)
-            ]
-            outcomes = list((map if pool is None else pool.map)(_run_repetition, jobs))
+            job = functools.partial(_run_repetition, hamiltonian, state, sampler, config.shots, config.master_seed)
+            repetitions = range(config.repetitions)
+            outcomes = list(map(job, repetitions) if pool is None
+                            else pool.map(job, repetitions, chunksize=math.ceil(config.repetitions / workers)))
             estimates = [energy for energy, _ in outcomes]
             deviations = np.asarray(estimates) - exact
             reports.append(
                 BenchmarkReport(
                     config=replace(config, method=method),
-                    state_source=state_source,
                     n_qubits=hamiltonian.n,
                     n_terms=hamiltonian.n_terms,
                     exact_energy=exact,

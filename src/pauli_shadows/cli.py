@@ -32,7 +32,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
     parser.add_argument("--state", dest="state_path", metavar="STATE",
                         help="state file path (default: ground state)")
-    parser.add_argument("--lbcs-tol", type=float, help="LBCS descent tolerance (>= 0)")
     parser.add_argument("--workers", type=int, help="parallel repetition workers")
     parser.add_argument("--out", required=True, help="report output path")
     parser.add_argument("--format", choices=("csv", "json"), default="json", help="report format")

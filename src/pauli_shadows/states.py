@@ -321,6 +321,8 @@ def load_state(text: str, n: int) -> StateVector:
     deviates from 1 by at most ``LOAD_NORM_TOL`` are renormalized; larger
     deviations (including the zero vector) are rejected.
     """
+    if n > MAX_TABLE_QUBITS:
+        raise CapacityError(f"a state file supports at most {MAX_TABLE_QUBITS} qubits")
     values: list[complex] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()

@@ -120,7 +120,6 @@ class TestDefaults:
         assert report["shots"] == self.DEFAULTS["shots"]
         assert report["repetitions"] == self.DEFAULTS["repetitions"]
         assert report["master_seed"] == self.DEFAULTS["master_seed"]
-        assert report["lbcs_tol"] == self.DEFAULTS["lbcs_tol"]
         assert report["state_source"] == "ground_state"  # state_path None
         assert len(report["estimates"]) == self.DEFAULTS["repetitions"]
 
@@ -142,6 +141,13 @@ class TestDefaults:
     def test_compare_takes_no_method(self, ham_file, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["compare", "--hamiltonian", ham_file, "--method", "cs", "--out", tmp_path / "r.json"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["estimate", "--method", "lbcs"], ["compare"]], ids=["estimate", "compare"])
+    def test_lbcs_tol_is_refused(self, command, ham_file, tmp_path):
+        # LBCS converges at its default tolerance in a few sweeps; tol 0 would run all 10,000.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([*command, "--hamiltonian", ham_file, "--lbcs-tol", "1e-10", "--out", tmp_path / "r.json"])
         assert excinfo.value.code == 2
 
 

@@ -542,6 +542,12 @@ class TestCapacity:
         h = Hamiltonian(3, [(1.0, "ZZI")])
         assert math.isfinite(estimate_energy(h, state, 10, ProductBasisSampler(uniform_distribution(3)), rng).energy)
 
+    def test_load_state_refuses_above_the_cap(self, cap_three):
+        # Before parsing: a state file above the cap would otherwise be read, and H applied, before the draw refuses.
+        with pytest.raises(CapacityError):
+            load_state("0.25 0\n" * 16, 4)
+        assert load_state("1 0\n" + "0 0\n" * 7, 3).n == 3
+
 
 def _operator_test_hamiltonian(rng: np.random.Generator, n: int, n_terms: int) -> Hamiltonian:
     """Random terms biased towards Y, several sharing one flip mask, and an all-Z group over every qubit."""
