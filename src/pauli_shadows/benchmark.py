@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import estimate_energy
-from .paulis import load_hamiltonian
+from .paulis import load_hamiltonian, read_file
 from .sampling import (
     AdaptiveBasisSampler,
     ProductBasisSampler,
@@ -161,10 +161,7 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
     if config.state_path is None:
         exact, state = ground_state(hamiltonian)  # <psi|H|psi> of the returned state
     else:
-        try:
-            state = load_state(Path(config.state_path).read_text(encoding="utf-8"), hamiltonian.n)
-        except ValueError as exc:
-            raise ValueError(f"{config.state_path}: {exc}") from None
+        state = read_file(config.state_path, load_state, hamiltonian.n)
         exact = hamiltonian_expectation(state, hamiltonian)
 
     reports = []

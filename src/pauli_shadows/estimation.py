@@ -37,7 +37,6 @@ class EstimationResult:
     energy: float
     sums: np.ndarray
     counts: np.ndarray
-    shots_used: int
     uncovered_terms: list[str]
 
     @property
@@ -105,7 +104,6 @@ def estimate_energy(
         energy=hamiltonian.offset,
         sums=sums,
         counts=counts,
-        shots_used=shots,
         uncovered_terms=[pauli for pauli, count in zip(hamiltonian.paulis, counts) if count == 0],
     )
     result.energy += float(np.dot(hamiltonian.coeffs, result.means))

@@ -175,17 +175,22 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     return Hamiltonian(n, terms, offset=offset)
 
 
-def load_hamiltonian(path) -> Hamiltonian:
-    """Read and parse a Hamiltonian file, adding the filename to any error.
+def read_file(path, parse, *args):
+    """Return ``parse(text, *args)`` of a UTF-8 file, adding the filename to any error.
 
     A parse error keeps its type and attributes, so a format error still
     carries its ``line_number``; a file that is not UTF-8 raises a plain ``ValueError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_hamiltonian(handle.read())
+            return parse(handle.read(), *args)
     except UnicodeDecodeError as exc:  # prints its own fields, not its args, so it cannot carry the filename
         raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def load_hamiltonian(path) -> Hamiltonian:
+    """Read and parse a Hamiltonian file; errors name the file (see ``read_file``)."""
+    return read_file(path, parse_hamiltonian)

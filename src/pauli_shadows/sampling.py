@@ -96,10 +96,7 @@ def _term_masses(hamiltonian: Hamiltonian) -> np.ndarray:
 
 def _term_factors(codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """factors[t, q]: probability under ``probs`` of term t's letter at qubit q, 1 where it is I."""
-    nontrivial = codes != CODE_I
-    factors = probs[np.arange(codes.shape[1]), np.where(nontrivial, codes.astype(np.int64) - 1, 0)]
-    factors[~nontrivial] = 1.0
-    return factors
+    return np.insert(probs, CODE_I, 1.0, axis=1)[np.arange(codes.shape[1]), codes]
 
 
 def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
@@ -143,21 +140,19 @@ def locally_biased_distribution(
     acting = [(rows, codes[rows, qubit] - 1) for qubit, rows in enumerate(map(np.flatnonzero, codes.T))]
     raw = np.full((hamiltonian.n, 3), 1.0 / 3.0)
     floored = raw.copy()
-    factors = _term_factors(codes, floored)
-    coverage = factors.prod(axis=1)
+    coverage = _term_factors(codes, floored).prod(axis=1)
     previous_cost = math.inf
     with np.errstate(over="ignore"):  # closed_form_distribution and _finite raise on overflow
         for _ in range(max_sweeps):
             for qubit, (rows, letters) in enumerate(acting):
                 # effective mass: alpha^2 divided by the other qubits' letter
                 # probabilities, i.e. coverage with this qubit's factor removed
-                partial = masses_all[rows] * (factors[rows, qubit] / coverage[rows])
+                old = floored[qubit, letters]
+                partial = masses_all[rows] * (old / coverage[rows])
                 raw[qubit] = closed_form_distribution(np.bincount(letters, weights=partial, minlength=3))
                 clipped = np.maximum(raw[qubit], LBCS_PROB_FLOOR)
                 floored[qubit] = clipped / clipped.sum()
-                new_factors = floored[qubit, letters]
-                coverage[rows] *= new_factors / factors[rows, qubit]
-                factors[rows, qubit] = new_factors
+                coverage[rows] *= floored[qubit, letters] / old
 
             cost = _finite(float(np.sum(masses_all / coverage)), "the floored table's shares")
             if abs(previous_cost - cost) < tol * (1.0 + abs(cost)):

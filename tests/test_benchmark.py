@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pauli_shadows import (
+    CapacityError,
     ExperimentConfig,
     compare_methods,
     ground_state,
@@ -15,6 +16,7 @@ from pauli_shadows import (
     parse_hamiltonian,
     run_benchmark,
 )
+from pauli_shadows import states
 from pauli_shadows.benchmark import CSV_COLUMNS, reports_to_csv, reports_to_json, write_reports
 
 from helpers import exact_single_shot_variance
@@ -51,6 +53,8 @@ class TestExperimentConfig:
             ExperimentConfig(hamiltonian_path=path, repetitions=0)
         with pytest.raises(ValueError):
             ExperimentConfig(hamiltonian_path=path, workers=0)
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            ExperimentConfig(hamiltonian_path=path, master_seed=-1)
 
 
 class TestRunBenchmark:
@@ -108,6 +112,17 @@ class TestRunBenchmark:
         assert report.to_json_dict()["state_source"] == str(state_file)
         assert report.exact_energy == pytest.approx(-1.0)
         assert report.rms_error == pytest.approx(0.0, abs=1e-12)
+
+    def test_state_file_error_keeps_its_type(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(states, "MAX_TABLE_QUBITS", 3)
+        ham = tmp_path / "z4.ham"
+        ham.write_text("1.0 ZIII\n")
+        state_file = tmp_path / "four.state"
+        state_file.write_text("0.25 0\n" * 16)  # a valid 4-qubit state, above the patched cap
+        config = ExperimentConfig(hamiltonian_path=str(ham), state_path=str(state_file), shots=10, repetitions=1)
+        with pytest.raises(CapacityError) as caught:
+            run_benchmark(config)
+        assert str(caught.value).startswith(f"{state_file}: ")
 
     def test_missing_file_errors_with_context(self, tmp_path):
         config = ExperimentConfig(hamiltonian_path=str(tmp_path / "missing.ham"))

@@ -102,7 +102,6 @@ class TestEstimateEnergy:
         ):
             result = estimate_energy(h, state, 10, sampler, rng)
             assert result.energy == 1.0
-            assert result.shots_used == 10
 
     def test_identity_only_hamiltonian(self):
         h = parse_hamiltonian("0.375 II")

@@ -118,6 +118,15 @@ class TestHamiltonian:
         assert h.n == 2 and h.n_terms == 2 and h.offset == 0.0
         np.testing.assert_allclose(h.coeffs, [0.5, -0.25])
 
+    def test_rejects_no_qubits(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            Hamiltonian(0, [])
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_rejects_non_finite_offset(self, offset):
+        with pytest.raises(ValueError, match="constant offset must be finite"):
+            Hamiltonian(1, [], offset=offset)
+
     def test_rejects_zero_coefficient(self):
         with pytest.raises(ValueError):
             Hamiltonian(1, [(0.0, "X")])

@@ -397,6 +397,10 @@ class TestDiagonalCost:
         all_z = [[0.0, 0.0, 1.0]] * 2
         assert diagonal_cost(h, all_z) == math.inf
 
+    def test_qubit_count_must_match(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            diagonal_cost(parse_hamiltonian("1.0 Z"), uniform_distribution(2))
+
     def test_offset_does_not_contribute(self):
         h = parse_hamiltonian("2.0 Z\n5.0 I")
         assert diagonal_cost(h, uniform_distribution(1)) == pytest.approx(12.0)

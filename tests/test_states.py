@@ -122,6 +122,8 @@ class TestExpectation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             expectation(StateVector.zero_state(2), "X")
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            hamiltonian_expectation(StateVector.zero_state(2), parse_hamiltonian("1.0 Z"))
 
     def test_matches_dense_oracle_and_range(self):
         rng = np.random.default_rng(13)
@@ -606,6 +608,8 @@ class TestLoadState:
     def test_first_bad_line_is_named(self):
         with pytest.raises(ValueError, match="line 4: expected"):
             load_state("# header\n0.6 0\n\n0.8 0 0\n", 1)
+        with pytest.raises(ValueError, match="line 1: bad amplitude '1 x'"):
+            load_state("1 x\n0 0\n", 1)
 
     def test_parse_is_exact(self):
         amps = random_state_amplitudes(np.random.default_rng(16), 6)
