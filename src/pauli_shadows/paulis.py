@@ -85,7 +85,6 @@ class Hamiltonian:
         if not np.isfinite(offset):
             raise ValueError("constant offset must be finite")
         coeff_of: dict[str, float] = {}
-        rows: list[np.ndarray] = []
         for alpha, word in terms:
             alpha = float(alpha)
             codes = letter_codes(word)
@@ -98,15 +97,13 @@ class Hamiltonian:
             if word in coeff_of:
                 raise ValueError(f"duplicate term {word}")
             coeff_of[word] = alpha
-            rows.append(codes)
 
         self.n = int(n)
         self.terms = tuple((alpha, word) for word, alpha in coeff_of.items())
         self.offset = float(offset)
         self.coeffs = np.array(list(coeff_of.values()), dtype=np.float64)
-        self.codes = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
         self.coeffs.setflags(write=False)
-        self.codes.setflags(write=False)
+        self.codes = np.frombuffer("".join(coeff_of).translate(_TO_CODE).encode(), dtype=np.uint8).reshape(-1, n)
 
     @property
     def n_terms(self) -> int:

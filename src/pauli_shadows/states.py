@@ -1,9 +1,9 @@
 """Dense pure-state simulation.
 
 ``_compile`` turns rows of Pauli letter codes with coefficients into
-flip groups and ``_apply_compiled`` applies them: one string for
-``expectation``, the whole Hamiltonian for ``hamiltonian_expectation``
-and the matrix-free Lanczos solver ``ground_state``. One rotation
+flip groups and ``_apply_compiled`` applies them along contiguous rows
+of a low block of qubits: one string for ``expectation``, the whole
+Hamiltonian for ``hamiltonian_expectation`` and ``ground_state``. One rotation
 kernel, ``_rotate_leading``, which rotates the leading qubit of each
 row of a stack in place, serves the exact tables of
 ``measurement_distribution`` and ``sample_measurement``, the table-free,
@@ -27,6 +27,8 @@ LOAD_NORM_TOL = 1e-4
 MAX_TABLE_QUBITS = 20
 # Cap on the amplitudes that one qubit step of ``draw_outcomes`` rotates, unless its shots share one prefix.
 _DRAW_CELLS = 1 << 15
+_LOW_QUBITS = 7  # qubits in the low block of ``_compile``'s layout: inner loops run over 2^7 amplitudes
+_BLOCK_ROWS = 32  # Krylov vectors per block of ``ground_state``'s basis
 
 class CapacityError(ValueError):
     """The requested dense table would exceed the supported qubit count."""
@@ -80,46 +82,61 @@ def sigmas_from_index(index: int, n: int) -> np.ndarray:
 # Y|b> = i(-1)^b |1-b> = -i(-1)^(1-b) |1-b>: read on the output index, each Y
 # is a Z sign times -i, so a string with y Y letters carries (-i)^y.
 _Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
+_Groups = list[tuple[tuple[slice, ...], np.ndarray, np.ndarray]]  # (flip, perm, d) per flip group
 
 
-def _compile(codes: np.ndarray, coeffs: np.ndarray) -> list[tuple[tuple[slice, ...], np.ndarray]]:
+def _compile(codes: np.ndarray, coeffs: np.ndarray) -> _Groups:
     """Compile ``O = sum_j coeffs[j] P_j`` over rows of letter codes (I allowed) into flip groups.
 
-    Rows are grouped by flip (X/Y) mask f, so that ``(O v)[k] = sum_g d_g[k] v[k ^ f_g]``.
-    Each group is (flip, d): ``flip`` indexes the (2,)*n view of v so
-    that it reverses the flipped qubits' axes, which reads v[k ^ f]. d
-    depends only on the qubits where some row of the group has a Y or
-    Z, so it is stored over those alone, with size-1 axes elsewhere, as
-    the Walsh-Hadamard transform of the group's coefficients placed at
-    their sign masks, by ``_rotate_leading``'s X rotation on each of those
-    qubits. One string gives one group of ±1 or ±i entries.
+    Rows are grouped by flip (X/Y) mask f, so that ``(O v)[k] = sum_g d_g[k] v[k ^ f_g]`` on the
+    (2,)*(n-L) + (2^L,) view of v, whose last axis is the low block of ``L = min(n, _LOW_QUBITS)``
+    qubits. A group is (flip, perm, d): ``flip`` reverses the axes of its flipped high qubits,
+    ``perm`` is ``j -> j ^ f_low`` on the low axis, and d has a size-1 axis on each high qubit
+    where no row of the group has a Y or Z, and on the low axis if no row has one there. Every d is a
+    vector over its m stored qubits (its supported high ones, then all L low ones if its low axis is
+    2^L long) in one flat array, in order of m, and is the Walsh-Hadamard transform of the group's
+    coefficients at their sign masks: X rotation b of ``_rotate_leading`` turns qubit m - b of each d with m >= b.
     """
+    n, low = codes.shape[1], min(codes.shape[1], _LOW_QUBITS)
     flips = (codes == CODE_X) | (codes == CODE_Y)
     signs = (codes == CODE_Y) | (codes == CODE_Z)
     coeffs = coeffs * _Y_PHASES[np.count_nonzero(codes == CODE_Y, axis=1) % 4]
-    rows_of: dict[bytes, list[int]] = {}
-    for row, flip in enumerate(flips):
-        rows_of.setdefault(flip.tobytes(), []).append(row)
+    weights = 1 << np.arange(n - 1, -1, -1)
+    keys, group = np.unique(flips @ weights, return_inverse=True)
+    support = np.bincount((group[:, None] * n + np.arange(n))[signs], minlength=len(keys) * n).reshape(-1, n) > 0
+    high_support, widths = support[:, :-low], np.where(support[:, -low:].any(axis=1), low, 0)
+    counts = np.count_nonzero(high_support, axis=1) + widths
+    sizes, order = 1 << counts, np.argsort(counts)
+    firsts = np.cumsum(sizes[order]) - sizes[order]
+    bases = firsts[np.argsort(order)]
+    # A sign bit on a high qubit sits above those on the group's later supported high qubits and its low block.
+    shifts = np.cumsum(high_support[:, ::-1], axis=1)[:, ::-1] - high_support + widths[:, None]
+    flat = np.zeros(int(sizes.sum()), dtype=np.complex128)
+    flat[bases[group] + (signs[:, :-low] << shifts[group]).sum(axis=1) + (signs @ weights) % (1 << low)] = coeffs
+    starts = firsts[np.searchsorted(counts[order], np.arange(1, counts.max(initial=0) + 1))]
+    for bits, start in enumerate(starts.tolist(), 1):
+        _rotate_leading(flat[start:].reshape(-1, 1 << bits), CODE_X)
+    perms = np.arange(1 << low) ^ (keys % (1 << low))[:, None]
     groups = []
-    for rows in rows_of.values():
-        support = signs[rows].any(axis=0)
-        m = int(np.count_nonzero(support))
-        weights = 1 << np.arange(m - 1, -1, -1)
-        diag = np.zeros(2**m, dtype=np.complex128)
-        diag[signs[rows][:, support] @ weights] = coeffs[rows]  # strings of a group differ in signs
-        for qubit in range(m):
-            _rotate_leading(diag.reshape(2**qubit, -1), CODE_X)
-        flip_index = tuple(slice(None, None, -1) if f else slice(None) for f in flips[rows[0]])
-        groups.append((flip_index, diag.reshape([2 if q else 1 for q in support])))
+    spans = zip(keys.tolist(), bases.tolist(), sizes.tolist(), widths.tolist())
+    for g, (key, base, size, width) in enumerate(spans):
+        flip_index = tuple(slice(None, None, -1) if key >> q & 1 else slice(None) for q in range(n - 1, low - 1, -1))
+        shape = [2 if s else 1 for s in high_support[g].tolist()] + [1 << width]
+        groups.append((flip_index, perms[g], flat[base : base + size].reshape(shape)))
     return groups
 
 
-def _apply_compiled(amplitudes: np.ndarray, groups: list[tuple[tuple[slice, ...], np.ndarray]]) -> np.ndarray:
-    """O v for an operator compiled by ``_compile``."""
-    psi = amplitudes.reshape((2,) * (amplitudes.size.bit_length() - 1))
-    out = np.zeros_like(psi)
-    for flip_index, diag in groups:
-        out += diag * psi[flip_index]
+def _apply_compiled(amplitudes: np.ndarray, groups: _Groups) -> np.ndarray:
+    """O v for an operator compiled by ``_compile``: per group, one gather of the low permutation of
+    the contiguous (2^(n-L), 2^L) view of v into a reused buffer, then d times its reversed high axes."""
+    low = min(amplitudes.size.bit_length() - 1, _LOW_QUBITS)
+    rows = amplitudes.reshape(-1, 1 << low)
+    buffer = np.empty_like(rows)
+    view = buffer.reshape((2,) * (len(rows).bit_length() - 1) + (1 << low,))
+    out = np.zeros_like(view)
+    for flip_index, perm, diag in groups:
+        np.take(rows, perm, axis=1, out=buffer, mode="clip")  # "clip": no buffered copy of out
+        out += diag * view[flip_index]
     return out.reshape(-1)
 
 
@@ -254,15 +271,17 @@ def ground_state(
 
     Runs Lanczos from a deterministic seeded start vector, so repeated
     calls return the same state even when the ground space is
-    degenerate. Full reorthogonalization is its only orthogonalization.
-    H is compiled once and applied once per iteration; the Ritz vector
-    is formed only once the residual estimate ``|beta_k y_k[-1]|``
-    reaches ``tol``, and one more application confirms it. The returned
-    energy is <psi|H|psi> of the returned state plus the offset, and
-    ``|H|psi> - E|psi>| <= tol``.
+    degenerate. Full reorthogonalization is its only orthogonalization:
+    two classical Gram-Schmidt passes, one projection per block of the
+    basis each. H is compiled once and applied once per iteration; the
+    Ritz vector is formed, block by block, only once the residual
+    estimate ``|beta_k y_k[-1]|`` reaches ``tol``, and one more
+    application confirms it. The returned energy is <psi|H|psi> of the
+    returned state plus the offset, and ``|H|psi> - E|psi>| <= tol``.
 
-    The Krylov basis keeps one 16 * 2^n-byte vector per iteration: 64 KiB
-    at 12 qubits, 16 MiB at 20 qubits.
+    The Krylov basis is kept in blocks of ``_BLOCK_ROWS`` vectors, each
+    allocated when needed and filled in place. A vector takes 16 * 2^n
+    bytes: 64 KiB at 12 qubits, 16 MiB at 20 qubits.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -272,31 +291,31 @@ def ground_state(
     groups = _compile(hamiltonian.codes, hamiltonian.coeffs)
     dim = 2**hamiltonian.n
     rng = np.random.default_rng(_LANCZOS_SEED)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    start /= np.linalg.norm(start)
+    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    beta = float(np.linalg.norm(w))
+    blocks, diag, offdiag = [], [], []
 
-    basis_vectors: list[np.ndarray] = [start]
-    diag: list[float] = []
-    offdiag: list[float] = []
-
-    for iteration in range(max_iter):
-        w = _apply_compiled(basis_vectors[-1], groups)
-        diag.append(float(np.vdot(basis_vectors[-1], w).real))
+    for size in range(1, max_iter + 1):  # size: the Krylov vectors stored, w / beta the last
+        if (size - 1) % _BLOCK_ROWS == 0:
+            blocks.append(np.empty((_BLOCK_ROWS, dim), dtype=np.complex128))
+        vector = np.divide(w, beta, out=blocks[-1][(size - 1) % _BLOCK_ROWS])
+        w = _apply_compiled(vector, groups)
+        diag.append(float(np.vdot(vector, w).real))
         # Full reorthogonalization, twice for numerical safety, also removes the three-term recurrence's terms.
         for _ in range(2):
-            for u in basis_vectors:
-                w -= np.vdot(u, w) * u
+            for number, block in enumerate(blocks):
+                rows = block[: size - number * _BLOCK_ROWS]
+                w -= np.conj(rows @ w.conj()) @ rows
         beta = float(np.linalg.norm(w))
 
         tri = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
         values, vectors = np.linalg.eigh(tri)
         theta, y = float(values[0]), vectors[:, 0]
         # Past an exhausted Krylov space (beta ~ 0 or full dimension) the Ritz pair cannot improve.
-        last = beta < 1e-13 or len(basis_vectors) == dim or iteration == max_iter - 1
+        last = beta < 1e-13 or size == dim or size == max_iter
         if last or abs(beta * y[-1]) <= tol:
-            candidate = np.zeros(dim, dtype=np.complex128)
-            for coeff, u in zip(y, basis_vectors):
-                candidate += coeff * u
+            parts = np.split(y, range(_BLOCK_ROWS, size, _BLOCK_ROWS))
+            candidate = sum(part @ block[: len(part)] for part, block in zip(parts, blocks))
             candidate /= np.linalg.norm(candidate)
             image = _apply_compiled(candidate, groups)
             residual = float(np.linalg.norm(image - theta * candidate))
@@ -304,14 +323,13 @@ def ground_state(
                 return float(np.vdot(candidate, image).real) + hamiltonian.offset, StateVector(candidate)
             if last:
                 raise GroundStateConvergenceError(
-                    f"Lanczos did not reach residual {tol} within {iteration + 1} iterations "
+                    f"Lanczos did not reach residual {tol} within {size} iterations "
                     f"(residual {residual:.3e})",
                     best_energy=theta + hamiltonian.offset,
                     best_residual=residual,
                 )
 
         offdiag.append(beta)
-        basis_vectors.append(w / beta)
 
 
 def load_state(text: str, n: int) -> StateVector:

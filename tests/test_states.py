@@ -434,6 +434,20 @@ class TestGroundState:
                 residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
                 assert np.linalg.norm(residual) <= tol
 
+    def test_krylov_basis_across_block_boundaries(self, monkeypatch):
+        # Three vectors per block: every solve here fills several blocks, the last one in part.
+        from helpers import random_hamiltonian
+
+        monkeypatch.setattr(states, "_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(23)
+        for n, tol in ((4, 1e-10), (5, 1e-12), (6, 1e-12)):
+            h = random_hamiltonian(rng, n, 3 * n)
+            energy, state = ground_state(h, tol=tol)
+            dense_energy = np.linalg.eigvalsh(dense_hamiltonian(h))[0]
+            assert energy == pytest.approx(dense_energy, abs=1e-8)
+            residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
+            assert np.linalg.norm(residual) <= tol
+
     def test_energy_is_expectation_of_returned_state(self):
         for name in ("fixture_a_6q.ham", "fixture_b_7q.ham", "fixture_c_8q.ham"):
             h = load_hamiltonian(FIXTURE_DIR / name)
@@ -574,6 +588,34 @@ class TestCompiledOperator:
         v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         compiled = states._apply_compiled(v, states._compile(h.codes, h.coeffs))
         assert np.max(np.abs(compiled - dense_hamiltonian(h) @ v)) <= 1e-12
+
+    def test_matches_dense_matrix_across_the_low_block_split(self, monkeypatch):
+        # A 2-qubit low block gives n >= 3 a high part. "Y...X", alone in its group, flips qubit 0
+        # (high) and the last qubit (low) with a sign on qubit 0 only; the all-Z string puts the
+        # flip-0 group's sign support on every qubit. Each n asserts that the groups have all three.
+        monkeypatch.setattr(states, "_LOW_QUBITS", 2)
+        reversed_axis, flip_mask = slice(None, None, -1), str.maketrans("IXYZ", "0110")
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            for _ in range(4):
+                terms = {word: alpha for alpha, word in _operator_test_hamiltonian(rng, n, 12).terms}
+                if n >= 3:
+                    special = "Y" + "I" * (n - 2) + "X"
+                    own = special.translate(flip_mask)
+                    terms = {word: alpha for word, alpha in terms.items() if word.translate(flip_mask) != own}
+                    terms[special] = 0.4
+                h = Hamiltonian(n, [(alpha, word) for word, alpha in terms.items()])
+                groups = states._compile(h.codes, h.coeffs)
+                if n >= 3:
+                    assert any(perm[0] and reversed_axis in flip for flip, perm, _ in groups)
+                    assert any(diag.shape[-1] == 1 for _, _, diag in groups)
+                    (flip_zero,) = [diag for flip, perm, diag in groups if not perm[0] and reversed_axis not in flip]
+                    assert flip_zero.shape == (2,) * (n - 2) + (4,)
+                # Every d is stored at its own size: the 1-wide ones hold no 2^L-wide rows.
+                assert sum(diag.size for _, _, diag in groups) == groups[0][2].base.size
+                v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+                compiled = states._apply_compiled(v, groups)
+                assert np.max(np.abs(compiled - dense_hamiltonian(h) @ v)) <= 1e-12
 
 
 class TestLoadState:
