@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import estimate_energy
+from .estimation import estimate_energies
 from .paulis import load_hamiltonian, read_file
 from .sampling import (
     AdaptiveBasisSampler,
@@ -90,8 +90,7 @@ class BenchmarkReport:
     cost: float | None
     distribution: list[list[float]] | None
     uncovered_counts: list[int]
-    # Wall-clock diagnostics; kept out of the JSON serialization so that
-    # identical configs and seeds produce byte-identical reports.
+    # Wall-clock seconds (``wall_time_s``), kept out of the JSON so that a config and seed give the same bytes.
     timings: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -142,18 +141,13 @@ class BenchmarkReport:
         ]
 
 
-def _run_repetition(hamiltonian, state, sampler, shots, master_seed, repetition) -> tuple[float, int]:
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, repetition]))
-    result = estimate_energy(hamiltonian, state, shots, sampler, rng)
-    return result.energy, len(result.uncovered_terms)
-
-
 def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
     """One report per method of ``methods``, all with the shots, repetitions and seeds of ``config``.
 
-    The Hamiltonian, the state and the exact energy are resolved once, and
-    at most one process pool runs the repetitions of every method, one
-    chunk per worker, so a worker unpickles the state and sampler once per
+    The Hamiltonian, the state and the exact energy are resolved once. A job
+    is the generators of a contiguous range of repetitions, one job per worker,
+    run in one ``estimate_energies`` pass; at most one process pool runs the
+    jobs of every method, so a worker unpickles the state and sampler once per
     method. The first report's timings include that set-up.
     """
     started = time.perf_counter()
@@ -170,8 +164,6 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for method in methods:
-            state_seconds = time.perf_counter() - started
-            build_started = time.perf_counter()
             distribution: np.ndarray | None = None
             cost: float | None = None
             if method == "aps":
@@ -181,13 +173,13 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
                                 else locally_biased_distribution(hamiltonian))
                 sampler = ProductBasisSampler(distribution)
                 cost = diagonal_cost(hamiltonian, distribution)
-            build_seconds = time.perf_counter() - build_started
 
-            job = functools.partial(_run_repetition, hamiltonian, state, sampler, config.shots, config.master_seed)
-            repetitions = range(config.repetitions)
-            outcomes = list(map(job, repetitions) if pool is None
-                            else pool.map(job, repetitions, chunksize=math.ceil(config.repetitions / workers)))
-            estimates = [energy for energy, _ in outcomes]
+            job = functools.partial(estimate_energies, hamiltonian, state, config.shots, sampler)
+            rngs = [np.random.default_rng(np.random.SeedSequence([config.master_seed, r]))
+                    for r in range(config.repetitions)]
+            jobs = [rngs[len(rngs) * k // workers : len(rngs) * (k + 1) // workers] for k in range(workers)]
+            results = [result for chunk in (map if pool is None else pool.map)(job, jobs) for result in chunk]
+            estimates = [result.energy for result in results]
             deviations = np.asarray(estimates) - exact
             reports.append(
                 BenchmarkReport(
@@ -200,12 +192,8 @@ def _run(config: ExperimentConfig, methods) -> list[BenchmarkReport]:
                     mean_abs_error=float(np.mean(np.abs(deviations))),
                     cost=cost,
                     distribution=None if distribution is None else distribution.tolist(),
-                    uncovered_counts=[count for _, count in outcomes],
-                    timings={
-                        "wall_time_s": time.perf_counter() - started,
-                        "state_preparation_s": state_seconds,
-                        "distribution_build_s": build_seconds,
-                    },
+                    uncovered_counts=[len(result.uncovered_terms) for result in results],
+                    timings={"wall_time_s": time.perf_counter() - started},
                 )
             )
             started = time.perf_counter()
@@ -218,11 +206,7 @@ def run_benchmark(config: ExperimentConfig) -> BenchmarkReport:
 
 
 def compare_methods(config: ExperimentConfig) -> list[BenchmarkReport]:
-    """Run all three methods with identical shots, repetitions, and seeds.
-
-    The Hamiltonian and the state are resolved once and shared; the
-    first report's timings include that set-up.
-    """
+    """Run all three methods with identical shots, repetitions, and seeds, on one Hamiltonian and state."""
     return _run(config, METHODS)
 
 
@@ -231,10 +215,7 @@ def reports_to_json(reports: list[BenchmarkReport]) -> str:
 
 
 def reports_to_csv(reports: list[BenchmarkReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        lines.append(",".join(report.to_csv_row()))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in [CSV_COLUMNS, *(report.to_csv_row() for report in reports)])
 
 
 def write_reports(reports: list[BenchmarkReport], path, output_format: str) -> None:

@@ -1,10 +1,11 @@
 """The batched estimation pass.
 
-Every strategy runs the same pass: draw a basis per shot, measure each
-shot once, and fold the ±1 product of every covered term into that
-term's integer sum and count. A term is covered when each of its
-non-identity letters matches the basis. The energy estimate is the
-coefficient-weighted sum of the per-term means plus the Hamiltonian's
+Every strategy runs the same pass over the shots of one or more
+repetitions: draw a basis per shot, measure each shot once, and fold the
+±1 product of every covered term into that term's integer sum and count
+in the shot's repetition. A term is covered when each of its non-identity
+letters matches the basis. A repetition's energy estimate is the
+coefficient-weighted sum of its per-term means plus the Hamiltonian's
 constant offset. Each strategy is a ``sampling.BasisSampler`` subclass.
 """
 
@@ -45,27 +46,66 @@ class EstimationResult:
         return np.divide(self.sums, self.counts, out=np.zeros(len(self.sums)), where=self.counts > 0)
 
 
-def _fold(codes: np.ndarray, letters: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-term integer sums of ±1 products and coverage counts over a block of shots.
-
-    ``codes`` holds one row of letter codes per term, ``letters`` one
-    basis row per shot and ``bits`` each shot's outcome bits as
-    ``draw_outcomes`` returns them, bit 1 meaning the readout -1. A
-    signed int8 table built from ``keep_table`` gives each (qubit,
-    letter, bit) one factor per term: 0 when the letter does not cover
-    the term there, -1 when the term acts there and the bit is 1, else
-    +1. A shot's product over qubits is then 0 for an uncovered term and
-    the term's ±1 product otherwise, so an all-identity term reads +1.
-    """
-    terms, n = codes.shape
+def _signed_table(codes: np.ndarray) -> np.ndarray:
+    """The (n, 6, terms) int8 table of ``_fold`` for one row of letter codes per term."""
     keep = keep_table(codes)  # (n, 3, terms)
     sign = np.where(codes.T != CODE_I, -1, 1).astype(np.int8)[:, None, :]  # readout -1 of an acting term
-    table = np.stack([keep, keep * sign], axis=2).reshape(n, 6, terms)  # int8
+    return np.stack([keep, keep * sign], axis=2).reshape(codes.shape[1], 6, len(codes))
+
+
+def _fold(table: np.ndarray, letters: np.ndarray, bits: np.ndarray, totals: np.ndarray, cuts: list[int]) -> None:
+    """Add the per-term (sums, counts) of the shots in rows ``cuts[i]:cuts[i + 1]`` to ``totals[i]``.
+
+    ``letters`` holds one basis row per shot and ``bits`` its outcome bits
+    as ``draw_outcomes`` returns them, bit 1 meaning the readout -1. The
+    ``_signed_table`` factor of a (qubit, letter, bit) is 0 where the
+    letter does not cover a term, -1 where the term acts and the bit is 1,
+    and +1 otherwise, so a shot's int8 product of factors over the qubits
+    is 0 for an uncovered term and its ±1 product otherwise (+1 for I...I).
+    """
     rows = 2 * (letters.astype(np.intp) - 1) + bits  # (shots, n): 2 * (letter - 1) + bit
     product = table[0, rows[:, 0]]
-    for qubit in range(1, n):
+    for qubit in range(1, len(table)):
         product *= table[qubit, rows[:, qubit]]
-    return product.sum(axis=0, dtype=np.int64), np.count_nonzero(product, axis=0)
+    for total, first, end in zip(totals, cuts, cuts[1:]):
+        total += product[first:end].sum(axis=0, dtype=np.int64), np.count_nonzero(product[first:end], axis=0)
+
+
+def estimate_energies(
+    hamiltonian: Hamiltonian, state: StateVector, shots: int, sampler: BasisSampler, rngs: list[np.random.Generator]
+) -> list[EstimationResult]:
+    """``estimate_energy`` with each generator of ``rngs``, in one pass over all their shots.
+
+    Repetition r fills its rows of ``sampler.uniforms`` + 1 uniforms from ``rngs[r]`` in order.
+    Blocks of ``max(1, _BLOCK_CELLS // max(terms, sampler.uniforms + 1))`` stacked rows, which
+    may cross a repetition boundary, go through ``sampler.bases``, ``draw_outcomes`` (the last
+    column) and the fold, whose products of each repetition's rows add to its own sums and
+    counts. Rows are independent and the sums integers, so neither the block size nor the
+    other repetitions change a result.
+    """
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    if state.n != hamiltonian.n:
+        raise ValueError("state and Hamiltonian qubit counts differ")
+
+    table = _signed_table(hamiltonian.codes)
+    totals = np.zeros((len(rngs), 2, hamiltonian.n_terms), dtype=np.int64)  # (sums, counts) per repetition
+    step = max(1, _BLOCK_CELLS // max(hamiltonian.n_terms, sampler.uniforms + 1))
+    for start in range(0, len(rngs) * shots, step):
+        u = np.empty((min(step, len(rngs) * shots - start), sampler.uniforms + 1))
+        reps = range(start // shots, (start + len(u) - 1) // shots + 1)
+        cuts = [max(r * shots - start, 0) for r in reps] + [len(u)]  # reps[i] has rows cuts[i]:cuts[i + 1]
+        for r, first, end in zip(reps, cuts, cuts[1:]):
+            rngs[r].random(out=u[first:end])
+        bases = sampler.bases(u[:, :-1])
+        _fold(table, bases, draw_outcomes(state, bases, u[:, -1]), totals[reps.start : reps.stop], cuts)
+
+    results = []
+    for sums, counts in totals:
+        uncovered = [pauli for pauli, count in zip(hamiltonian.paulis, counts) if count == 0]
+        results.append(EstimationResult(hamiltonian.offset, sums, counts, uncovered))
+        results[-1].energy += float(np.dot(hamiltonian.coeffs, results[-1].means))
+    return results
 
 
 def estimate_energy(
@@ -75,36 +115,8 @@ def estimate_energy(
     sampler: BasisSampler,
     rng: np.random.Generator,
 ) -> EstimationResult:
-    """Estimate the energy of ``state`` from ``shots`` single measurements.
+    """Estimate the energy of ``state`` from ``shots`` single measurements drawn with ``rng``.
 
-    Works through the shots in blocks of
-    ``max(1, _BLOCK_CELLS // max(terms, sampler.uniforms + 1))``. Per
-    block it draws a (block, ``sampler.uniforms`` + 1) array of uniforms:
-    the sampler turns the leading columns of each row into that shot's
-    basis, ``draw_outcomes`` turns the last column into its outcome
-    bits, and the fold adds the block's per-term sums and counts to the
-    totals. ``rng.random`` fills rows in order and the fold is additive,
-    so the block size does not change the result.
-    Deterministic given the inputs and the rng state; replaying a seed
-    reproduces the result bit for bit.
+    The one-repetition case of ``estimate_energies``; replaying a seed reproduces the result bit for bit.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    if state.n != hamiltonian.n:
-        raise ValueError("state and Hamiltonian qubit counts differ")
-
-    sums, counts = totals = np.zeros((2, hamiltonian.n_terms), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(hamiltonian.n_terms, sampler.uniforms + 1))
-    for start in range(0, shots, step):
-        u = rng.random((min(step, shots - start), sampler.uniforms + 1))
-        bases = sampler.bases(u[:, :-1])
-        totals += _fold(hamiltonian.codes, bases, draw_outcomes(state, bases, u[:, -1]))  # (sums, counts)
-
-    result = EstimationResult(
-        energy=hamiltonian.offset,
-        sums=sums,
-        counts=counts,
-        uncovered_terms=[pauli for pauli, count in zip(hamiltonian.paulis, counts) if count == 0],
-    )
-    result.energy += float(np.dot(hamiltonian.coeffs, result.means))
-    return result
+    return estimate_energies(hamiltonian, state, shots, sampler, [rng])[0]

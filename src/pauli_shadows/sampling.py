@@ -217,16 +217,16 @@ class AdaptiveBasisSampler(BasisSampler):
     permutation); column n + j then picks the letter at stage j.
 
     Two tables, built once from the Hamiltonian, carry the stage work:
-    ``weights[q, t, l]`` is term t's mass alpha_t^2 when its letter at
-    qubit q is l + 1, else 0, and ``keep`` is ``keep_table`` of the
-    codes, the covering rule that the estimator's fold shares. All shots
-    of a block, whose size ``estimate_energy`` bounds, advance one stage
-    at a time with a (shots, terms) bool mask of their alive terms. A
-    stage costs one (shots at q, terms) @ (terms, 3) matrix product per
-    qubit q that occurs in it, then one gathered (shots, terms) keep
-    mask, so a block of shots costs O(shots * terms * n) in about n * n
-    vectorized steps. On 8 qubits and 500 terms the tables take 94 KiB
-    (float64) and 12 KiB (bool).
+    ``weights[q, t, l]`` is term t's mass alpha_t^2 when its letter at qubit
+    q is l + 1, else 0, and ``keep`` is ``keep_table`` of the codes, the
+    covering rule that the estimator's fold shares. All shots of a block,
+    which ``estimate_energies`` bounds in cells and fills from one or more
+    repetitions, advance one stage at a time with a (shots, terms) bool mask
+    of their alive terms. A stage costs one (shots at q, terms) @ (terms, 3)
+    matrix product per qubit q that occurs in it, then one gathered (shots,
+    terms) keep mask, so a block of shots costs O(shots * terms * n) in
+    about n * n vectorized steps. On 8 qubits and 500 terms the tables take
+    94 KiB (float64) and 12 KiB (bool).
     """
 
     def __init__(self, hamiltonian: Hamiltonian):

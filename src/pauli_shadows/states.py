@@ -14,6 +14,7 @@ basis-state index.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -335,31 +336,38 @@ def ground_state(
 def load_state(text: str, n: int) -> StateVector:
     """Parse a state file: 2^n lines of ``<re> <im>``, qubit 0 as the MSB.
 
-    ``#`` starts a comment and blank lines are skipped. Inputs whose norm
-    deviates from 1 by at most ``LOAD_NORM_TOL`` are renormalized; larger
+    ``#`` starts a comment and blank lines are skipped; a file without
+    either is read with one split and one conversion, any other file line
+    by line, so that an error names its line. Inputs whose norm deviates
+    from 1 by at most ``LOAD_NORM_TOL`` are renormalized; larger
     deviations (including the zero vector) are rejected.
     """
     if n > MAX_TABLE_QUBITS:
         raise CapacityError(f"a state file supports at most {MAX_TABLE_QUBITS} qubits")
-    values: list[complex] = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
-        if not fields:
-            continue
-        if len(fields) != 2:
-            raise ValueError(f"line {line_number}: expected '<re> <im>', got {raw.strip()!r}")
-        try:
-            re_part, im_part = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise ValueError(f"line {line_number}: bad amplitude {raw.strip()!r}") from None
-        if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise ValueError(f"line {line_number}: non-finite amplitude")
-        values.append(complex(re_part, im_part))
+    fields = " ! ".join(text.splitlines()).split()  # "!" stands for a line break
+    values = None
+    if len(fields) % 3 == 2 and fields[2::3].count("!") == fields.count("!") == len(fields) // 3:
+        del fields[2::3]
+        with contextlib.suppress(ValueError):
+            values = np.fromiter(map(float, fields), np.float64, len(fields))
+    if values is None or not np.isfinite(values).all():
+        values = []
+        for line_number, raw in enumerate(text.splitlines(), start=1):
+            fields = raw.split("#", 1)[0].split()
+            if len(fields) not in (0, 2):
+                raise ValueError(f"line {line_number}: expected '<re> <im>', got {raw.strip()!r}")
+            try:
+                pair = [float(field) for field in fields]
+            except ValueError:
+                raise ValueError(f"line {line_number}: bad amplitude {raw.strip()!r}") from None
+            if not all(map(math.isfinite, pair)):
+                raise ValueError(f"line {line_number}: non-finite amplitude")
+            values += pair
 
     expected = 2**n
-    if len(values) != expected:
-        raise ValueError(f"expected {expected} amplitude lines for n={n}, found {len(values)}")
-    amps = np.asarray(values, dtype=np.complex128)
+    if len(values) != 2 * expected:
+        raise ValueError(f"expected {expected} amplitude lines for n={n}, found {len(values) // 2}")
+    amps = np.asarray(values, dtype=np.float64).view(np.complex128)  # (re, im) pairs
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > LOAD_NORM_TOL:
         raise ValueError(f"state norm {norm} deviates from 1 by more than {LOAD_NORM_TOL}")

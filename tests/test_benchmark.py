@@ -280,6 +280,32 @@ class TestCompareMethods:
         assert parallel == reports_to_json(compare_methods(config))
 
 
+    def test_uneven_split_gives_serial_bytes(self, tmp_path, monkeypatch):
+        # --reps 7 over 3 workers: one job of contiguous repetitions per worker, sized 2, 2 and 3.
+        import concurrent.futures
+
+        from pauli_shadows import cli
+
+        path = tmp_path / "h.ham"
+        path.write_text("0.5 XZ\n-0.25 ZI\n0.3 YY\n")
+        jobs = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                jobs.extend(len(job) for job in iterables[0])  # a job's generators, one per repetition
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        outputs = []
+        for workers in ("3", "1"):
+            out = tmp_path / f"report_w{workers}.json"
+            argv = ["compare", "--hamiltonian", str(path), "--shots", "150", "--reps", "7", "--seed", "5"]
+            assert cli.main(argv + ["--workers", workers, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert jobs == [2, 2, 3] * 3
+        assert outputs[0] == outputs[1]
+
 class TestReportFormats:
     def test_csv_columns_and_rows(self, z_config):
         reports = compare_methods(z_config)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows import estimation
-from pauli_shadows.estimation import _fold
+from pauli_shadows.estimation import _fold, _signed_table
 from pauli_shadows.paulis import letter_codes
+from pauli_shadows.states import draw_outcomes
 
 from helpers import (
     BELL_AMPLITUDES,
@@ -51,8 +53,9 @@ def fold(terms, shots):
     outcomes = np.array([outcome for _, outcome in shots], dtype=np.int64)
     n = letters.shape[1]
     bits = ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    sums, counts = _fold(codes, letters, bits)
-    return sums.tolist(), counts.tolist()
+    totals = np.zeros((1, 2, len(terms)), dtype=np.int64)
+    _fold(_signed_table(codes), letters, bits, totals, [0, len(shots)])
+    return totals[0, 0].tolist(), totals[0, 1].tolist()
 
 
 class TestAccumulator:
@@ -270,6 +273,73 @@ class TestReferenceEquivalence:
             if cells == 100:
                 assert len(rows) > 1 and all(block * (sampler.uniforms + 1) <= cells for block in rows)
         assert runs[0] == runs[1]
+
+
+class TestRepetitions:
+    """``estimate_energies``: one pass over the stacked shots of several repetitions."""
+
+    @pytest.mark.parametrize("method", ["cs", "lbcs", "aps"])
+    def test_one_pass_equals_separate_calls(self, method):
+        rng = np.random.default_rng(18)
+        h = random_hamiltonian(rng, 4, 9)
+        state = StateVector(random_state_amplitudes(rng, 4))
+        samplers = {
+            "cs": lambda: ProductBasisSampler(uniform_distribution(4)),
+            "lbcs": lambda: ProductBasisSampler(locally_biased_distribution(h)),
+            "aps": lambda: AdaptiveBasisSampler(h),
+        }
+        shots, seeds = 7, range(30, 36)
+        separate = []
+        for seed in seeds:
+            draws = np.random.default_rng(seed)
+            result = estimate_energy(h, state, shots, samplers[method](), draws)
+            separate.append(
+                (result.energy, result.sums.tolist(), result.counts.tolist(), result.uncovered_terms, draws.random())
+            )
+        width = max(h.n_terms, samplers[method]().uniforms + 1)  # cells per shot
+        # Blocks of 3 rows split every repetition and cross its boundaries; blocks
+        # of 17 rows hold two whole repetitions and cross into a third.
+        for rows in (3, 17):
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimation, "_BLOCK_CELLS", rows * width)
+                results = estimation.estimate_energies(h, state, shots, samplers[method](), rngs)
+            together = [
+                (r.energy, r.sums.tolist(), r.counts.tolist(), r.uncovered_terms, draws.random())
+                for r, draws in zip(results, rngs)
+            ]
+            assert together == separate
+
+    def test_pass_peaks_like_one_block(self):
+        rng = np.random.default_rng(19)
+        h = random_hamiltonian(rng, 6, 30)
+        state = StateVector(random_state_amplitudes(rng, 6))
+        sampler = AdaptiveBasisSampler(h)
+        block = estimation._BLOCK_CELLS // max(h.n_terms, sampler.uniforms + 1)  # rows of a full block
+
+        def sample_one_block():
+            u = np.random.default_rng(200).random((block, sampler.uniforms + 1))
+            draw_outcomes(state, sampler.bases(u[:, :-1]), u[:, -1])
+
+        rngs = [np.random.default_rng(seed) for seed in range(200)]
+        peaks = []
+        for run in (
+            sample_one_block,
+            lambda: estimate_energy(h, state, block, sampler, np.random.default_rng(200)),
+            lambda: estimation.estimate_energies(h, state, 1000, sampler, rngs),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        sampling, one_call, one_pass = peaks
+        # The fold holds one int8 product per cell; an int64 copy of a block's products would add 8 bytes per cell.
+        assert one_call <= sampling + block * h.n_terms
+        # Margin: the 200 repetitions' int64 (sums, counts) of 30 terms (94 KiB), the
+        # previous block's bases (51 KiB) and the results' objects.
+        assert one_pass <= one_call + 256 * 1024
 
 
 class TestConditionalMeans:

@@ -653,6 +653,18 @@ class TestLoadState:
         with pytest.raises(ValueError, match="line 1: bad amplitude '1 x'"):
             load_state("1 x\n0 0\n", 1)
 
+    def test_whole_file_parse_keeps_the_line_rules(self):
+        # Two fields a line, not two fields per amplitude anywhere in the file.
+        with pytest.raises(ValueError, match="line 1: expected"):
+            load_state("0.6 0 0.8\n0\n", 1)
+        # A form feed ends a line, as str.splitlines says, though str.split reads it as a space.
+        with pytest.raises(ValueError, match="line 1: expected"):
+            load_state("0.6\x0c0\n0.8 0\n", 1)
+        with pytest.raises(ValueError, match="line 2: non-finite amplitude"):
+            load_state("0.6 0\n0.8 inf\n", 1)
+        crlf = load_state("0.6 0\r\n0 0.8\r\n", 1)
+        assert crlf.amplitudes.tolist() == [0.6, 0.8j]
+
     def test_parse_is_exact(self):
         amps = random_state_amplitudes(np.random.default_rng(16), 6)
         lines = [f"{float(a.real)!r} {float(a.imag)!r}  # amplitude {k}\n\n" for k, a in enumerate(amps)]
