@@ -84,9 +84,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -11,6 +11,7 @@ a read-only uint8 array. A ``Hamiltonian`` keeps its terms as
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -88,11 +89,11 @@ class Hamiltonian:
         for alpha, word in terms:
             alpha = float(alpha)
             codes = letter_codes(word)
-            if not np.isfinite(alpha) or alpha == 0.0:
+            if not math.isfinite(alpha) or alpha == 0.0:
                 raise ValueError(f"coefficient of {word} must be finite and nonzero")
             if codes.size != n:
                 raise ValueError(f"term {word} has length {codes.size}, expected {n}")
-            if not codes.any():
+            if not word.strip("I"):
                 raise ValueError("the all-identity string belongs in the offset, not in terms")
             if word in coeff_of:
                 raise ValueError(f"duplicate term {word}")
@@ -145,7 +146,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             alpha = float(coeff_text)
         except ValueError:
             raise HamiltonianFormatError(f"bad coefficient {coeff_text!r}", line_number) from None
-        if not np.isfinite(alpha):
+        if not math.isfinite(alpha):
             raise HamiltonianFormatError(f"non-finite coefficient {coeff_text!r}", line_number)
         bad = set(word) - set(LETTERS)
         if bad:

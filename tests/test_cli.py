@@ -152,7 +152,7 @@ class TestDefaults:
 
 
 class TestModuleEntryPoint:
-    """``python -m pauli_shadows.cli`` goes through ``cli.run`` and exits with ``main``'s code."""
+    """``python -m pauli_shadows.cli`` exits with ``main``'s return value."""
 
     @staticmethod
     def _run_module(*args):
