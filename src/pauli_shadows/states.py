@@ -1,13 +1,17 @@
 """Dense pure-state simulation.
 
 ``_compile`` turns rows of Pauli letter codes with coefficients into
-flip groups and ``_apply_compiled`` applies them along contiguous rows
-of a low block of qubits: one string for ``expectation``, the whole
-Hamiltonian for ``hamiltonian_expectation`` and ``ground_state``. One rotation
-kernel, ``_rotate_leading``, which rotates the leading qubit of each
-row of a stack in place, serves the exact tables of
-``measurement_distribution`` and ``sample_measurement``, the table-free,
-breadth-first ``draw_outcomes`` and, as a Hadamard butterfly, ``_compile``.
+stacks of flip groups and ``_apply_compiled`` applies them along
+contiguous rows of a low block of qubits: one string for
+``expectation``, the whole Hamiltonian for ``hamiltonian_expectation``
+and ``ground_state``. A stack costs one gather of at most
+``_STACK_CELLS`` (2^12) amplitudes and a sum over its groups; a stack of
+one group, the only kind from 12 qubits up, skips that sum, which would
+only add work there. One rotation kernel, ``_rotate_leading``, which
+rotates the leading qubit of each row of an array in place, serves the
+exact tables of ``measurement_distribution`` and ``sample_measurement``,
+the table-free, breadth-first ``draw_outcomes`` and, as a Hadamard
+butterfly, ``_compile``.
 Amplitude index convention: qubit 0 is the most significant bit of the
 basis-state index.
 """
@@ -29,6 +33,7 @@ MAX_TABLE_QUBITS = 20
 # Cap on the amplitudes that one qubit step of ``draw_outcomes`` rotates, unless its shots share one prefix.
 _DRAW_CELLS = 1 << 15
 _LOW_QUBITS = 7  # qubits in the low block of ``_compile``'s layout: inner loops run over 2^7 amplitudes
+_STACK_CELLS = 1 << 12  # amplitudes that one stack of flip groups gathers at most
 _BLOCK_ROWS = 32  # Krylov vectors per block of ``ground_state``'s basis
 
 class CapacityError(ValueError):
@@ -83,20 +88,24 @@ def sigmas_from_index(index: int, n: int) -> np.ndarray:
 # Y|b> = i(-1)^b |1-b> = -i(-1)^(1-b) |1-b>: read on the output index, each Y
 # is a Z sign times -i, so a string with y Y letters carries (-i)^y.
 _Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
-_Groups = list[tuple[tuple[slice, ...], np.ndarray, np.ndarray]]  # (flip, perm, d) per flip group
+_Stacks = list[tuple[tuple[slice, ...], np.ndarray, np.ndarray]]  # (flip, perms, d) per stack of flip groups
 
 
-def _compile(codes: np.ndarray, coeffs: np.ndarray) -> _Groups:
-    """Compile ``O = sum_j coeffs[j] P_j`` over rows of letter codes (I allowed) into flip groups.
+def _compile(codes: np.ndarray, coeffs: np.ndarray) -> _Stacks:
+    """Compile ``O = sum_j coeffs[j] P_j`` over rows of letter codes (I allowed) into stacks of flip groups.
 
     Rows are grouped by flip (X/Y) mask f, so that ``(O v)[k] = sum_g d_g[k] v[k ^ f_g]`` on the
     (2,)*(n-L) + (2^L,) view of v, whose last axis is the low block of ``L = min(n, _LOW_QUBITS)``
-    qubits. A group is (flip, perm, d): ``flip`` reverses the axes of its flipped high qubits,
-    ``perm`` is ``j -> j ^ f_low`` on the low axis, and d has a size-1 axis on each high qubit
-    where no row of the group has a Y or Z, and on the low axis if no row has one there. Every d is a
-    vector over its m stored qubits (its supported high ones, then all L low ones if its low axis is
-    2^L long) in one flat array, in order of m, and is the Walsh-Hadamard transform of the group's
-    coefficients at their sign masks: X rotation b of ``_rotate_leading`` turns qubit m - b of each d with m >= b.
+    qubits. A group's d has a size-1 axis on each high qubit where no row of the group has a Y or Z,
+    and on the low axis if no row has one there. Every d is a vector over its m stored qubits (its
+    supported high ones, then all L low ones if its low axis is 2^L long) in one flat array, in order
+    of m, shape and high flip, and is the Walsh-Hadamard transform of the group's coefficients at
+    their sign masks: X rotation b of ``_rotate_leading`` turns qubit m - b of each d with m >= b.
+    Up to ``G = max(1, _STACK_CELLS >> n)`` adjacent groups of one shape and high flip form a stack
+    (flip, perms, d): ``flip`` reverses the flipped high axes, row g of perms is ``j -> j ^ f_low`` of
+    group g, and d views the stack's run of the flat array with a G axis before the last. A one-group
+    stack, the only kind from n = 12, has a 1-D perm and no G axis: a sum over a G axis of length 1
+    made an application on ``wide``'s 12 qubits about 50 % slower.
     """
     n, low = codes.shape[1], min(codes.shape[1], _LOW_QUBITS)
     flips = (codes == CODE_X) | (codes == CODE_Y)
@@ -107,7 +116,8 @@ def _compile(codes: np.ndarray, coeffs: np.ndarray) -> _Groups:
     support = np.bincount((group[:, None] * n + np.arange(n))[signs], minlength=len(keys) * n).reshape(-1, n) > 0
     high_support, widths = support[:, :-low], np.where(support[:, -low:].any(axis=1), low, 0)
     counts = np.count_nonzero(high_support, axis=1) + widths
-    sizes, order = 1 << counts, np.argsort(counts)
+    shapes = (high_support @ weights[:-low]) * 2 + (widths > 0)
+    sizes, order = 1 << counts, np.lexsort((shapes, counts))  # keys are sorted, so high flips are too
     firsts = np.cumsum(sizes[order]) - sizes[order]
     bases = firsts[np.argsort(order)]
     # A sign bit on a high qubit sits above those on the group's later supported high qubits and its low block.
@@ -118,26 +128,41 @@ def _compile(codes: np.ndarray, coeffs: np.ndarray) -> _Groups:
     for bits, start in enumerate(starts.tolist(), 1):
         _rotate_leading(flat[start:].reshape(-1, 1 << bits), CODE_X)
     perms = np.arange(1 << low) ^ (keys % (1 << low))[:, None]
-    groups = []
-    spans = zip(keys.tolist(), bases.tolist(), sizes.tolist(), widths.tolist())
-    for g, (key, base, size, width) in enumerate(spans):
-        flip_index = tuple(slice(None, None, -1) if key >> q & 1 else slice(None) for q in range(n - 1, low - 1, -1))
-        shape = [2 if s else 1 for s in high_support[g].tolist()] + [1 << width]
-        groups.append((flip_index, perms[g], flat[base : base + size].reshape(shape)))
-    return groups
+    # Groups of one shape and high flip are adjacent; each such run is cut into stacks of at most cap.
+    classes = (shapes[order] << (n - low)) + (keys[order] >> low)
+    heads = np.flatnonzero(np.diff(classes, prepend=-1)).tolist() + [len(order)]
+    cap, stacks, order = max(1, _STACK_CELLS >> n), [], order.tolist()
+    spans = list(zip(keys.tolist(), bases.tolist(), sizes.tolist(), widths.tolist(), high_support.tolist()))
+    directions = (slice(None), slice(None, None, -1))  # a high axis as it is, or reversed where it is flipped
+    for head, end in zip(heads, heads[1:]):
+        for first in range(head, end, cap):
+            members = order[first : min(first + cap, end)]
+            key, base, size, width, high = spans[members[0]]
+            flip = tuple(directions[key >> q & 1] for q in range(n - 1, low - 1, -1))
+            shape = [2 if s else 1 for s in high] + [1 << width]
+            if len(members) == 1:
+                stacks.append((flip, perms[members[0]], flat[base : base + size].reshape(shape)))
+            else:
+                d = flat[base : base + len(members) * size].reshape([-1] + shape)
+                stacks.append((flip, perms[members], np.moveaxis(d, 0, -2)))
+    return stacks
 
 
-def _apply_compiled(amplitudes: np.ndarray, groups: _Groups) -> np.ndarray:
-    """O v for an operator compiled by ``_compile``: per group, one gather of the low permutation of
-    the contiguous (2^(n-L), 2^L) view of v into a reused buffer, then d times its reversed high axes."""
+def _apply_compiled(amplitudes: np.ndarray, stacks: _Stacks) -> np.ndarray:
+    """O v for an operator compiled by ``_compile``: per stack, one gather of the low permutations of the
+    contiguous (2^(n-L), 2^L) view of v (a one-group stack's into a reused buffer), then d times its
+    reversed high axes, summed over G if G > 1."""
     low = min(amplitudes.size.bit_length() - 1, _LOW_QUBITS)
     rows = amplitudes.reshape(-1, 1 << low)
-    buffer = np.empty_like(rows)
-    view = buffer.reshape((2,) * (len(rows).bit_length() - 1) + (1 << low,))
+    buffer, high = np.empty_like(rows), (2,) * (len(rows).bit_length() - 1)
+    view = buffer.reshape(high + (1 << low,))
     out = np.zeros_like(view)
-    for flip_index, perm, diag in groups:
-        np.take(rows, perm, axis=1, out=buffer, mode="clip")  # "clip": no buffered copy of out
-        out += diag * view[flip_index]
+    for flip_index, perm, diag in stacks:
+        if perm.ndim == 1:
+            rows.take(perm, axis=1, out=buffer, mode="clip")  # "clip": no buffered copy of out
+            out += diag * view[flip_index]
+        else:
+            out += (diag * rows.take(perm, axis=1).reshape(high + perm.shape)[flip_index]).sum(axis=-2)
     return out.reshape(-1)
 
 
@@ -156,8 +181,8 @@ def hamiltonian_expectation(state: StateVector, hamiltonian: Hamiltonian) -> flo
     """Exact energy <psi|H|psi>, including the constant offset."""
     if state.n != hamiltonian.n:
         raise ValueError("state and Hamiltonian qubit counts differ")
-    groups = _compile(hamiltonian.codes, hamiltonian.coeffs)
-    value = np.vdot(state.amplitudes, _apply_compiled(state.amplitudes, groups))
+    stacks = _compile(hamiltonian.codes, hamiltonian.coeffs)
+    value = np.vdot(state.amplitudes, _apply_compiled(state.amplitudes, stacks))
     return float(value.real) + hamiltonian.offset
 
 
@@ -289,7 +314,7 @@ def ground_state(
     if hamiltonian.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"ground_state supports at most {MAX_TABLE_QUBITS} qubits")
 
-    groups = _compile(hamiltonian.codes, hamiltonian.coeffs)
+    stacks = _compile(hamiltonian.codes, hamiltonian.coeffs)
     dim = 2**hamiltonian.n
     rng = np.random.default_rng(_LANCZOS_SEED)
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -300,7 +325,7 @@ def ground_state(
         if (size - 1) % _BLOCK_ROWS == 0:
             blocks.append(np.empty((_BLOCK_ROWS, dim), dtype=np.complex128))
         vector = np.divide(w, beta, out=blocks[-1][(size - 1) % _BLOCK_ROWS])
-        w = _apply_compiled(vector, groups)
+        w = _apply_compiled(vector, stacks)
         diag.append(float(np.vdot(vector, w).real))
         # Full reorthogonalization, twice for numerical safety, also removes the three-term recurrence's terms.
         for _ in range(2):
@@ -318,7 +343,7 @@ def ground_state(
             parts = np.split(y, range(_BLOCK_ROWS, size, _BLOCK_ROWS))
             candidate = sum(part @ block[: len(part)] for part, block in zip(parts, blocks))
             candidate /= np.linalg.norm(candidate)
-            image = _apply_compiled(candidate, groups)
+            image = _apply_compiled(candidate, stacks)
             residual = float(np.linalg.norm(image - theta * candidate))
             if residual <= tol:
                 return float(np.vdot(candidate, image).real) + hamiltonian.offset, StateVector(candidate)

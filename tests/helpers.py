@@ -248,8 +248,8 @@ def random_hamiltonian(
     max_weight: int | None = None,
     coeff_range: tuple[float, float] = (0.05, 1.0),
 ) -> Hamiltonian:
-    """Random test Hamiltonian with distinct non-identity strings."""
-    max_weight = max_weight or n
+    """Random test Hamiltonian with distinct non-identity strings of weight at most ``min(max_weight, n)``."""
+    max_weight = min(max_weight or n, n)
     n_terms = min(n_terms, 4**n - 1)  # only that many distinct strings exist
     terms = {}
     while len(terms) < n_terms:

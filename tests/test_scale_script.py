@@ -1,5 +1,6 @@
 """Smoke test of ``scripts/scale.py`` at tiny sizes, in both of its modes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_hamiltonian
+from helpers import random_hamiltonian, serialize_hamiltonian
 from pauli_shadows import ground_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,8 +29,9 @@ def run_scale(*args) -> list[dict]:
 
 
 def test_compare_rows():
-    rows = run_scale("--qubits", 4, 5, "--shots", 50, "--reps", 2)
-    assert [int(row["n"]) for row in rows] == [4, 5]
+    # 3 qubits: fewer than the script's weight bound of 4, and 63 distinct strings in place of 300.
+    rows = run_scale("--qubits", 3, 4, 5, "--shots", 50, "--reps", 2)
+    assert [int(row["n"]) for row in rows] == [3, 4, 5]
     for row in rows:
         assert list(row) == COMPARE_COLUMNS
         assert (int(row["shots"]), int(row["reps"])) == (50, 2)
@@ -38,6 +40,14 @@ def test_compare_rows():
         assert float(row["peak_MiB"]) > 0
         energy, _ = ground_state(random_hamiltonian(np.random.default_rng(5), int(row["n"]), 300, max_weight=4))
         assert float(row["energy"]) == pytest.approx(energy, abs=1e-11)
+
+
+def test_weight_cap_keeps_the_script_hamiltonian():
+    # With max_weight <= n the cap at n changes no draw: the script's 8-qubit Hamiltonian is the one
+    # drawn before the cap, term for term (this digest was taken before it).
+    h = random_hamiltonian(np.random.default_rng(5), 8, 300, max_weight=4)
+    digest = hashlib.sha256(serialize_hamiltonian(h).encode()).hexdigest()
+    assert digest == "0937be82d2df611543e67b594f1cbdd307c39b3c4c774c9f2075730e118bd0a5"
 
 
 def test_draw_only_rows():

@@ -26,7 +26,7 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows import states
-from pauli_shadows.paulis import letter_codes
+from pauli_shadows.paulis import CODE_X, CODE_Y, letter_codes
 from pauli_shadows.states import load_state, sigmas_from_index
 
 from helpers import (
@@ -36,6 +36,7 @@ from helpers import (
     dense_measurement_probs,
     dense_pauli,
     product_of_sigmas,
+    random_hamiltonian,
     random_state_amplitudes,
     reshape_loop_probs,
 )
@@ -421,8 +422,6 @@ class TestGroundState:
         assert hamiltonian_expectation(state, h) == pytest.approx(dense_energy, abs=1e-8)
 
     def test_random_hamiltonians_match_dense_oracle(self):
-        from helpers import random_hamiltonian
-
         # Tight tolerances test the Lanczos step whose only orthogonalization is the reorthogonalization.
         for tol in (1e-8, 1e-10, 1e-12):
             rng = np.random.default_rng(21)
@@ -436,8 +435,6 @@ class TestGroundState:
 
     def test_krylov_basis_across_block_boundaries(self, monkeypatch):
         # Three vectors per block: every solve here fills several blocks, the last one in part.
-        from helpers import random_hamiltonian
-
         monkeypatch.setattr(states, "_BLOCK_ROWS", 3)
         rng = np.random.default_rng(23)
         for n, tol in ((4, 1e-10), (5, 1e-12), (6, 1e-12)):
@@ -447,6 +444,16 @@ class TestGroundState:
             assert energy == pytest.approx(dense_energy, abs=1e-8)
             residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
             assert np.linalg.norm(residual) <= tol
+
+    def test_many_terms_on_few_qubits(self):
+        # The shape of the dense-terms benchmark workload: 500 strings on 8 qubits, run in stacks of groups.
+        h = random_hamiltonian(np.random.default_rng(24), 8, 500, max_weight=4)
+        tol = 1e-8
+        energy, state = ground_state(h, tol=tol)
+        dense = dense_hamiltonian(h)
+        assert energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-8)
+        assert np.linalg.norm(dense @ state.amplitudes - energy * state.amplitudes) <= tol
+        assert energy == hamiltonian_expectation(state, h)
 
     def test_energy_is_expectation_of_returned_state(self):
         for name in ("fixture_a_6q.ham", "fixture_b_7q.ham", "fixture_c_8q.ham"):
@@ -479,8 +486,6 @@ class TestGroundState:
         assert permuted == pytest.approx(reference, abs=1e-9)
 
     def test_non_convergence_raises(self):
-        from helpers import random_hamiltonian
-
         h = random_hamiltonian(np.random.default_rng(22), 3, 8)
         with pytest.raises(GroundStateConvergenceError) as excinfo:
             ground_state(h, tol=1e-12, max_iter=1)
@@ -605,17 +610,46 @@ class TestCompiledOperator:
                     terms = {word: alpha for word, alpha in terms.items() if word.translate(flip_mask) != own}
                     terms[special] = 0.4
                 h = Hamiltonian(n, [(alpha, word) for word, alpha in terms.items()])
-                groups = states._compile(h.codes, h.coeffs)
+                stacks = states._compile(h.codes, h.coeffs)
+                groups = list(_flip_groups(stacks))
                 if n >= 3:
                     assert any(perm[0] and reversed_axis in flip for flip, perm, _ in groups)
                     assert any(diag.shape[-1] == 1 for _, _, diag in groups)
                     (flip_zero,) = [diag for flip, perm, diag in groups if not perm[0] and reversed_axis not in flip]
                     assert flip_zero.shape == (2,) * (n - 2) + (4,)
-                # Every d is stored at its own size: the 1-wide ones hold no 2^L-wide rows.
-                assert sum(diag.size for _, _, diag in groups) == groups[0][2].base.size
+                # Every d is stored once, at its own size, in one flat array: the 1-wide ones hold no
+                # 2^L-wide rows, and a stack's d is a view of its run of that array, not a copy.
+                flat = stacks[0][2].base
+                assert all(diag.base is flat for _, _, diag in stacks)
+                assert sum(diag.size for _, _, diag in stacks) == flat.size
                 v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-                compiled = states._apply_compiled(v, groups)
+                compiled = states._apply_compiled(v, stacks)
                 assert np.max(np.abs(compiled - dense_hamiltonian(h) @ v)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_stacks_of_many_groups_match_dense_matrix(self, n):
+        # Weight-4 strings on few qubits: many groups share a high flip and a diagonal shape.
+        h = random_hamiltonian(np.random.default_rng(n), n, 20, max_weight=4)
+        stacks = states._compile(h.codes, h.coeffs)
+        depths = [len(perm) if perm.ndim == 2 else 1 for _, perm, _ in stacks]
+        assert max(depths) > 1
+        assert all(depth << n <= 1 << 12 for depth in depths)  # amplitudes one stack gathers
+        assert sum(depths) == len(np.unique(np.isin(h.codes, (CODE_X, CODE_Y)), axis=0))
+        v = random_state_amplitudes(np.random.default_rng(n + 1), n)
+        assert np.max(np.abs(states._apply_compiled(v, stacks) - dense_hamiltonian(h) @ v)) <= 1e-12
+
+    def test_every_stack_is_one_group_from_twelve_qubits(self):
+        h = random_hamiltonian(np.random.default_rng(12), 12, 60, max_weight=4)
+        assert all(perm.ndim == 1 for _, perm, _ in states._compile(h.codes, h.coeffs))
+
+
+def _flip_groups(stacks):
+    """(flip, perm, d) of each flip group of ``_compile``'s stacks."""
+    for flip, perms, diag in stacks:
+        if perms.ndim == 1:
+            yield flip, perms, diag
+        else:
+            yield from ((flip, perm, diag[..., g, :]) for g, perm in enumerate(perms))
 
 
 class TestLoadState:
