@@ -18,9 +18,6 @@ basis-state index.
 
 from __future__ import annotations
 
-import contextlib
-import math
-
 import numpy as np
 
 from .paulis import CODE_X, CODE_Y, CODE_Z, Hamiltonian, letter_codes
@@ -361,38 +358,38 @@ def ground_state(
 def load_state(text: str, n: int) -> StateVector:
     """Parse a state file: 2^n lines of ``<re> <im>``, qubit 0 as the MSB.
 
-    ``#`` starts a comment and blank lines are skipped; a file without
-    either is read with one split and one conversion, any other file line
-    by line, so that an error names its line. Inputs whose norm deviates
-    from 1 by at most ``LOAD_NORM_TOL`` are renormalized; larger
-    deviations (including the zero vector) are rejected.
+    ``#`` starts a comment and blank lines are skipped. Every file is read
+    in one pass: each line is cut at ``#`` and split, and all fields are
+    converted at once. Only if a line has a field count other than 0 or 2,
+    or a field is not a finite number, are the lines scanned again, to
+    name the first bad one. Inputs whose norm deviates from 1 by at most
+    ``LOAD_NORM_TOL`` are renormalized; larger deviations (including the
+    zero vector) are rejected.
     """
     if n > MAX_TABLE_QUBITS:
         raise CapacityError(f"a state file supports at most {MAX_TABLE_QUBITS} qubits")
-    fields = " ! ".join(text.splitlines()).split()  # "!" stands for a line break
-    values = None
-    if len(fields) % 3 == 2 and fields[2::3].count("!") == fields.count("!") == len(fields) // 3:
-        del fields[2::3]
-        with contextlib.suppress(ValueError):
-            values = np.fromiter(map(float, fields), np.float64, len(fields))
-    if values is None or not np.isfinite(values).all():
-        values = []
-        for line_number, raw in enumerate(text.splitlines(), start=1):
-            fields = raw.split("#", 1)[0].split()
+    # Lines are kept as strings: 2^n kept lists of fields would set off the garbage collector.
+    lines = [raw.partition("#")[0] for raw in text.splitlines()]
+    try:
+        values = np.array(" ".join(lines).split(), dtype=np.float64)
+        valid = set(map(len, map(str.split, lines))) <= {0, 2} and np.isfinite(values).all()
+    except ValueError:
+        valid = False
+    if not valid:  # a second scan names the first bad line, in file order
+        for line_number, (raw, fields) in enumerate(zip(text.splitlines(), map(str.split, lines)), start=1):
             if len(fields) not in (0, 2):
                 raise ValueError(f"line {line_number}: expected '<re> <im>', got {raw.strip()!r}")
             try:
-                pair = [float(field) for field in fields]
+                pair = np.array(fields, dtype=np.float64)  # the pass's own conversion, so the scan finds its fault
             except ValueError:
                 raise ValueError(f"line {line_number}: bad amplitude {raw.strip()!r}") from None
-            if not all(map(math.isfinite, pair)):
+            if not np.isfinite(pair).all():
                 raise ValueError(f"line {line_number}: non-finite amplitude")
-            values += pair
 
     expected = 2**n
     if len(values) != 2 * expected:
         raise ValueError(f"expected {expected} amplitude lines for n={n}, found {len(values) // 2}")
-    amps = np.asarray(values, dtype=np.float64).view(np.complex128)  # (re, im) pairs
+    amps = values.view(np.complex128)  # (re, im) pairs
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > LOAD_NORM_TOL:
         raise ValueError(f"state norm {norm} deviates from 1 by more than {LOAD_NORM_TOL}")

@@ -1,9 +1,12 @@
 """Independent oracles shared by the test suite.
 
 Everything here deliberately avoids the library's own vectorized code
-paths: matrices are built with dense Kronecker products, distributions
-by brute-force enumeration, and optima by grid search, so agreement with
-the package is meaningful evidence of correctness.
+paths: a Pauli word's matrix is a dense Kronecker product, a Hamiltonian
+is applied by moving each term's amplitudes as a signed permutation read
+off the same 2x2 letter matrices (into one dense matrix, or matrix-free
+into one vector), distributions come from brute-force enumeration, and
+optima from grid search, so agreement with the package is meaningful
+evidence of correctness.
 """
 
 from __future__ import annotations
@@ -53,11 +56,42 @@ def dense_pauli(letters: str) -> np.ndarray:
     return matrix
 
 
+def pauli_permutation(letters: str) -> tuple[int, np.ndarray]:
+    """A Pauli word as a signed permutation: ``P e_k = phases[k] e_(k ^ flip)``, qubit 0 as the MSB.
+
+    Read off ``DENSE_LETTER`` one qubit at a time: each letter's matrix has one nonzero
+    entry per column, in row b ^ f of column b, where f is 1 for X and Y.
+    """
+    n = len(letters)
+    index = np.arange(2**n)
+    flip, phases = 0, np.ones(2**n, dtype=complex)
+    for qubit, letter in enumerate(letters):
+        matrix = DENSE_LETTER[letter]
+        f = int(matrix[0, 0] == 0)
+        bits = (index >> (n - 1 - qubit)) & 1
+        phases *= matrix[bits ^ f, bits]
+        flip |= f << (n - 1 - qubit)
+    return flip, phases
+
+
+def apply_hamiltonian(hamiltonian: Hamiltonian, v: np.ndarray) -> np.ndarray:
+    """H v without a matrix: term by term, ``out[k ^ f] += alpha * phases[k] * v[k]``."""
+    out = hamiltonian.offset * v.astype(complex)
+    index = np.arange(v.size)
+    for alpha, letters in hamiltonian.terms:
+        flip, phases = pauli_permutation(letters)
+        out[index ^ flip] += alpha * phases * v
+    return out
+
+
 def dense_hamiltonian(hamiltonian: Hamiltonian) -> np.ndarray:
+    """The matrix of H: each term's signed permutation scattered into entries (k ^ f, k)."""
     dim = 2**hamiltonian.n
+    index = np.arange(dim)
     matrix = hamiltonian.offset * np.eye(dim, dtype=complex)
-    for alpha, pauli in hamiltonian.terms:
-        matrix += alpha * dense_pauli(pauli)
+    for alpha, letters in hamiltonian.terms:
+        flip, phases = pauli_permutation(letters)
+        matrix[index ^ flip, index] += alpha * phases
     return matrix
 
 

@@ -1,5 +1,6 @@
 """Tests for the dense statevector simulation."""
 
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -32,9 +33,11 @@ from pauli_shadows.states import load_state, sigmas_from_index
 from helpers import (
     BELL_AMPLITUDES,
     all_bases,
+    apply_hamiltonian,
     dense_hamiltonian,
     dense_measurement_probs,
     dense_pauli,
+    pauli_permutation,
     product_of_sigmas,
     random_hamiltonian,
     random_state_amplitudes,
@@ -455,6 +458,14 @@ class TestGroundState:
         assert np.linalg.norm(dense @ state.amplitudes - energy * state.amplitudes) <= tol
         assert energy == hamiltonian_expectation(state, h)
 
+    def test_residual_at_twelve_qubits(self):
+        # The shape of the wide benchmark workload, where every stack is one group and H's matrix takes 256 MiB.
+        h = random_hamiltonian(np.random.default_rng(25), 12, 200, max_weight=4)
+        tol = 1e-8
+        energy, state = ground_state(h, tol=tol)
+        assert np.linalg.norm(apply_hamiltonian(h, state.amplitudes) - energy * state.amplitudes) <= tol
+        assert energy == hamiltonian_expectation(state, h)
+
     def test_energy_is_expectation_of_returned_state(self):
         for name in ("fixture_a_6q.ham", "fixture_b_7q.ham", "fixture_c_8q.ham"):
             h = load_hamiltonian(FIXTURE_DIR / name)
@@ -642,6 +653,19 @@ class TestCompiledOperator:
         h = random_hamiltonian(np.random.default_rng(12), 12, 60, max_weight=4)
         assert all(perm.ndim == 1 for _, perm, _ in states._compile(h.codes, h.coeffs))
 
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_one_group_stacks_match_the_permutation_oracle(self, n):
+        # Every stack is one group over the 7-qubit low block and n - 7 high axes; the all-Y strings
+        # flip every axis, and put a Y sign on every high axis or on every low qubit.
+        rng = np.random.default_rng(n + 30)
+        terms = list(random_hamiltonian(rng, n, 200, max_weight=4).terms)
+        terms += [(0.3, "Y" * n), (-0.6, "Y" * (n - 7) + "I" * 7), (0.45, "I" * (n - 7) + "Y" * 7)]
+        h = Hamiltonian(n, terms)
+        stacks = states._compile(h.codes, h.coeffs)
+        assert all(perm.ndim == 1 for _, perm, _ in stacks)
+        v = random_state_amplitudes(rng, n)
+        assert np.max(np.abs(states._apply_compiled(v, stacks) - apply_hamiltonian(h, v))) <= 1e-12
+
 
 def _flip_groups(stacks):
     """(flip, perm, d) of each flip group of ``_compile``'s stacks."""
@@ -650,6 +674,29 @@ def _flip_groups(stacks):
             yield flip, perms, diag
         else:
             yield from ((flip, perm, diag[..., g, :]) for g, perm in enumerate(perms))
+
+
+class TestPermutationOracle:
+    def test_every_word_up_to_three_qubits_matches_its_kronecker_product(self):
+        for n in (1, 2, 3):
+            index = np.arange(2**n)
+            for word in map("".join, itertools.product("IXYZ", repeat=n)):
+                flip, phases = pauli_permutation(word)
+                matrix = np.zeros((2**n, 2**n), dtype=complex)
+                matrix[index ^ flip, index] = phases
+                assert np.array_equal(matrix, dense_pauli(word)), word
+
+    def test_scattered_matrix_and_matrix_free_apply_match_the_kronecker_sum(self):
+        rng = np.random.default_rng(26)
+        for n in range(1, 6):
+            for _ in range(3):
+                h = Hamiltonian(n, random_hamiltonian(rng, n, 3 * n).terms, offset=0.25)
+                kronecker = h.offset * np.eye(2**n, dtype=complex)
+                for alpha, word in h.terms:
+                    kronecker += alpha * dense_pauli(word)
+                assert np.array_equal(dense_hamiltonian(h), kronecker)
+                v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+                assert np.max(np.abs(apply_hamiltonian(h, v) - kronecker @ v)) <= 1e-12
 
 
 class TestLoadState:
@@ -704,3 +751,16 @@ class TestLoadState:
         lines = [f"{float(a.real)!r} {float(a.imag)!r}  # amplitude {k}\n\n" for k, a in enumerate(amps)]
         state = load_state("# six qubits\n" + "".join(lines), 6)
         assert np.array_equal(state.amplitudes, amps / np.linalg.norm(amps))
+
+    def test_first_bad_line_in_file_order_whatever_the_fault_of_a_later_one(self):
+        with pytest.raises(ValueError, match="line 2: bad amplitude '0.8 x'"):
+            load_state("0.6 0\n0.8 x\n\n0 0 0\n", 1)
+        with pytest.raises(ValueError, match="line 2: expected"):
+            load_state("0.6 0\n0.8\n0 x\n", 1)
+
+    def test_comments_blank_lines_and_crlf_read_as_the_plain_file(self):
+        amps = random_state_amplitudes(np.random.default_rng(27), 4)
+        pairs = [f"{float(a.real)!r} {float(a.imag)!r}" for a in amps]
+        plain = load_state("".join(pair + "\n" for pair in pairs), 4)
+        marked = load_state("# four qubits\r\n\r\n" + "".join(f"{p}  # {k}\r\n\r\n" for k, p in enumerate(pairs)), 4)
+        assert plain.amplitudes.tobytes() == marked.amplitudes.tobytes()
