@@ -174,13 +174,13 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
 
 
 def read_file(path, parse, *args):
-    """Return ``parse(text, *args)`` of a UTF-8 file, adding the filename to any error.
+    """Return ``parse(text, *args)`` of a UTF-8 file, BOM or not, adding the filename to any error.
 
     A parse error keeps its type and attributes, so a format error still
     carries its ``line_number``; a file that is not UTF-8 raises a plain ``ValueError``.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return parse(handle.read(), *args)
     except UnicodeDecodeError as exc:  # prints its own fields, not its args, so it cannot carry the filename
         raise ValueError(f"{path}: {exc}") from None

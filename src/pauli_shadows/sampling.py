@@ -31,6 +31,8 @@ PROB_SUM_TOL = 1e-12
 # running; keeps every coverage probability positive so the per-coordinate
 # masses stay finite. Removed from the final answer when safe.
 LBCS_PROB_FLOOR = 1e-12
+LBCS_TOL = 1e-10
+LBCS_MAX_SWEEPS = 10_000
 
 
 def product_distribution(table) -> np.ndarray:
@@ -117,24 +119,17 @@ def diagonal_cost(hamiltonian: Hamiltonian, table) -> float:
         return _finite(float(np.sum(masses / coverage)), "the diagonal cost's shares")
 
 
-def locally_biased_distribution(
-    hamiltonian: Hamiltonian, tol: float = 1e-10, max_sweeps: int = 10_000
-) -> np.ndarray:
+def locally_biased_distribution(hamiltonian: Hamiltonian) -> np.ndarray:
     """Fit the LBCS product distribution by cyclic coordinate descent.
 
     Starts from the uniform distribution and sweeps qubits in index
     order; each qubit's triple is replaced by the closed-form coordinate
     minimizer of the diagonal cost given the other qubits' triples,
-    floored at ``LBCS_PROB_FLOOR``. Stops when a full sweep changes the
-    floored cost by less than ``tol * (1 + |cost|)`` or after
-    ``max_sweeps``; returns the unfloored table unless it leaves a term
-    uncovered. ``tol`` must be a nonnegative number.
+    floored at ``LBCS_PROB_FLOOR``. The stopping rule is fixed: a full
+    sweep that changes the floored cost by less than ``LBCS_TOL * (1 +
+    |cost|)`` (1e-10 relative), or ``LBCS_MAX_SWEEPS`` (10,000) sweeps.
+    Returns the unfloored table unless it leaves a term uncovered.
     """
-    if not tol >= 0.0:  # written so that NaN fails too: it would run every sweep
-        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
-
     codes = hamiltonian.codes
     masses_all = _term_masses(hamiltonian)
     acting = [(rows, codes[rows, qubit] - 1) for qubit, rows in enumerate(map(np.flatnonzero, codes.T))]
@@ -143,7 +138,7 @@ def locally_biased_distribution(
     coverage = _term_factors(codes, floored).prod(axis=1)
     previous_cost = math.inf
     with np.errstate(over="ignore"):  # closed_form_distribution and _finite raise on overflow
-        for _ in range(max_sweeps):
+        for _ in range(LBCS_MAX_SWEEPS):
             for qubit, (rows, letters) in enumerate(acting):
                 # effective mass: alpha^2 divided by the other qubits' letter
                 # probabilities, i.e. coverage with this qubit's factor removed
@@ -155,7 +150,7 @@ def locally_biased_distribution(
                 coverage[rows] *= floored[qubit, letters] / old
 
             cost = _finite(float(np.sum(masses_all / coverage)), "the floored table's shares")
-            if abs(previous_cost - cost) < tol * (1.0 + abs(cost)):
+            if abs(previous_cost - cost) < LBCS_TOL * (1.0 + abs(cost)):
                 break
             previous_cost = cost
     covered = _term_factors(codes, raw).prod(axis=1).all()

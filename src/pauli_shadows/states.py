@@ -285,11 +285,11 @@ def draw_outcomes(state: StateVector, bases: np.ndarray, u: np.ndarray) -> np.nd
 
 
 _LANCZOS_SEED = 0x1A2C05
+GROUND_STATE_TOL = 1e-8
+GROUND_STATE_MAX_ITER = 500
 
 
-def ground_state(
-    hamiltonian: Hamiltonian, tol: float = 1e-8, max_iter: int = 500
-) -> tuple[float, StateVector]:
+def ground_state(hamiltonian: Hamiltonian) -> tuple[float, StateVector]:
     """Lowest eigenpair of a Pauli-sum Hamiltonian, computed matrix-free.
 
     Runs Lanczos from a deterministic seeded start vector, so repeated
@@ -298,16 +298,16 @@ def ground_state(
     two classical Gram-Schmidt passes, one projection per block of the
     basis each. H is compiled once and applied once per iteration; the
     Ritz vector is formed, block by block, only once the residual
-    estimate ``|beta_k y_k[-1]|`` reaches ``tol``, and one more
-    application confirms it. The returned energy is <psi|H|psi> of the
-    returned state plus the offset, and ``|H|psi> - E|psi>| <= tol``.
+    estimate ``|beta_k y_k[-1]|`` reaches ``GROUND_STATE_TOL``, and one
+    more application confirms it: ``|H|psi> - E|psi>|`` is at most 1e-8
+    within 500 iterations (``GROUND_STATE_MAX_ITER``), or the call raises
+    ``GroundStateConvergenceError``. The returned energy is <psi|H|psi>
+    of the returned state plus the offset.
 
     The Krylov basis is kept in blocks of ``_BLOCK_ROWS`` vectors, each
     allocated when needed and filled in place. A vector takes 16 * 2^n
     bytes: 64 KiB at 12 qubits, 16 MiB at 20 qubits.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if hamiltonian.n > MAX_TABLE_QUBITS:
         raise CapacityError(f"ground_state supports at most {MAX_TABLE_QUBITS} qubits")
 
@@ -318,7 +318,7 @@ def ground_state(
     beta = float(np.linalg.norm(w))
     blocks, diag, offdiag = [], [], []
 
-    for size in range(1, max_iter + 1):  # size: the Krylov vectors stored, w / beta the last
+    for size in range(1, GROUND_STATE_MAX_ITER + 1):  # size: the Krylov vectors stored, w / beta the last
         if (size - 1) % _BLOCK_ROWS == 0:
             blocks.append(np.empty((_BLOCK_ROWS, dim), dtype=np.complex128))
         vector = np.divide(w, beta, out=blocks[-1][(size - 1) % _BLOCK_ROWS])
@@ -335,18 +335,18 @@ def ground_state(
         values, vectors = np.linalg.eigh(tri)
         theta, y = float(values[0]), vectors[:, 0]
         # Past an exhausted Krylov space (beta ~ 0 or full dimension) the Ritz pair cannot improve.
-        last = beta < 1e-13 or size == dim or size == max_iter
-        if last or abs(beta * y[-1]) <= tol:
+        last = beta < 1e-13 or size == dim or size == GROUND_STATE_MAX_ITER
+        if last or abs(beta * y[-1]) <= GROUND_STATE_TOL:
             parts = np.split(y, range(_BLOCK_ROWS, size, _BLOCK_ROWS))
             candidate = sum(part @ block[: len(part)] for part, block in zip(parts, blocks))
             candidate /= np.linalg.norm(candidate)
             image = _apply_compiled(candidate, stacks)
             residual = float(np.linalg.norm(image - theta * candidate))
-            if residual <= tol:
+            if residual <= GROUND_STATE_TOL:
                 return float(np.vdot(candidate, image).real) + hamiltonian.offset, StateVector(candidate)
             if last:
                 raise GroundStateConvergenceError(
-                    f"Lanczos did not reach residual {tol} within {size} iterations "
+                    f"Lanczos did not reach residual {GROUND_STATE_TOL} within {size} iterations "
                     f"(residual {residual:.3e})",
                     best_energy=theta + hamiltonian.offset,
                     best_residual=residual,

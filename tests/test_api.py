@@ -6,6 +6,8 @@ its submodule. A name added to or dropped from ``__all__`` must change
 this list too.
 """
 
+import inspect
+
 import pauli_shadows
 
 PUBLIC = [
@@ -43,3 +45,9 @@ def test_all_is_the_public_list():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(pauli_shadows, name) is not None, name
+
+
+def test_solvers_take_the_hamiltonian_alone():
+    # Their tolerances and iteration caps are module constants, not arguments.
+    for solver in (pauli_shadows.ground_state, pauli_shadows.locally_biased_distribution):
+        assert list(inspect.signature(solver).parameters) == ["hamiltonian"], solver.__name__

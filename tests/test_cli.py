@@ -145,7 +145,7 @@ class TestDefaults:
 
     @pytest.mark.parametrize("command", [["estimate", "--method", "lbcs"], ["compare"]], ids=["estimate", "compare"])
     def test_lbcs_tol_is_refused(self, command, ham_file, tmp_path):
-        # LBCS converges at its default tolerance in a few sweeps; tol 0 would run all 10,000.
+        # LBCS stops on its fixed rule (sampling.LBCS_TOL, LBCS_MAX_SWEEPS); no flag sets either.
         with pytest.raises(SystemExit) as excinfo:
             run_cli([*command, "--hamiltonian", ham_file, "--lbcs-tol", "1e-10", "--out", tmp_path / "r.json"])
         assert excinfo.value.code == 2

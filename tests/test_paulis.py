@@ -228,6 +228,14 @@ class TestParseHamiltonian:
         assert excinfo.value.line_number == 2
         assert str(excinfo.value) == f"{path}: line 2: bad letter 'Q' in Pauli string 'XQ'"
 
+    def test_byte_order_mark_file_loads_as_the_plain_file(self, tmp_path):
+        text = "0.5 XZ\n-0.25 ZI\n0.1 II\n"
+        plain, marked = tmp_path / "plain.ham", tmp_path / "marked.ham"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")  # starts with the bytes EF BB BF
+        expected, loaded = load_hamiltonian(plain), load_hamiltonian(marked)
+        assert (loaded.terms, loaded.offset) == (expected.terms, expected.offset)
+
 
 @st.composite
 def hamiltonian_texts(draw):

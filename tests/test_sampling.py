@@ -1,8 +1,11 @@
 """Tests for basis-selection strategies and the closed-form simplex solver."""
 
+import importlib.util
 import itertools
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +18,12 @@ from pauli_shadows import (
     ProductBasisSampler,
     closed_form_distribution,
     diagonal_cost,
+    load_hamiltonian,
     locally_biased_distribution,
     parse_hamiltonian,
     uniform_distribution,
 )
+from pauli_shadows import sampling
 from pauli_shadows.sampling import product_distribution
 
 from helpers import (
@@ -30,6 +35,8 @@ from helpers import (
     reference_aps_bases,
     simplex_grid,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def objective(costs, probs):
@@ -433,15 +440,17 @@ class TestLocallyBiasedDistribution:
             best = min(best, float(((1.0 / x0) * inv_x1).min()) + 0.25 / z0)
         assert abs(cost - best) <= 1e-3
 
-    def test_cost_never_increases_across_sweeps(self):
+    def test_cost_never_increases_across_sweeps(self, monkeypatch):
+        # A zero tolerance never stops early, so a cap of k sweeps returns the table of sweep k.
+        monkeypatch.setattr(sampling, "LBCS_TOL", 0.0)
         rng = np.random.default_rng(44)
         for _ in range(10):
             n = int(rng.integers(1, 5))
             h = random_hamiltonian(rng, n, int(rng.integers(1, 7)))
-            # tol=0 never stops early, so max_sweeps=k returns the table of sweep k.
-            costs = [
-                diagonal_cost(h, locally_biased_distribution(h, tol=0.0, max_sweeps=k)) for k in range(1, 41)
-            ]
+            costs = []
+            for k in range(1, 41):
+                monkeypatch.setattr(sampling, "LBCS_MAX_SWEEPS", k)
+                costs.append(diagonal_cost(h, locally_biased_distribution(h)))
             for before, after in zip(costs, costs[1:]):
                 assert after <= before * (1 + 1e-9) + 1e-12
 
@@ -485,13 +494,23 @@ class TestLocallyBiasedDistribution:
         pd = locally_biased_distribution(parse_hamiltonian("1.0 II"))
         np.testing.assert_array_equal(pd, uniform_distribution(2))
 
-    def test_rejects_bad_arguments(self):
-        h = parse_hamiltonian("1.0 XX\n0.5 ZI")
-        for tol in (np.nan, -1e-10):
-            with pytest.raises(ValueError, match="tol"):
-                locally_biased_distribution(h, tol=tol)
-        with pytest.raises(ValueError):
-            locally_biased_distribution(h, max_sweeps=0)
+    def test_default_fit_stops_after_five_to_nine_sweeps(self, monkeypatch, tmp_path):
+        # The shipped fixtures and the benchmark's two generated Hamiltonians at three of its seeds: a fit
+        # capped at 9 sweeps is the default fit bit for bit, and one capped at 4 is not.
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # where its dataclass looks the module up
+        spec.loader.exec_module(workloads)
+        paths = workloads.make_inputs(workloads.WORKLOADS["fixtures"], 1, tmp_path)
+        hamiltonians = [load_hamiltonian(path) for path in paths]
+        for seed in (1, 3, 7):
+            for name in ("wide", "dense-terms"):
+                hamiltonians += map(load_hamiltonian, workloads.make_inputs(workloads.WORKLOADS[name], seed, tmp_path))
+        fits = [locally_biased_distribution(h).tobytes() for h in hamiltonians]
+        monkeypatch.setattr(sampling, "LBCS_MAX_SWEEPS", 9)
+        assert [locally_biased_distribution(h).tobytes() for h in hamiltonians] == fits
+        monkeypatch.setattr(sampling, "LBCS_MAX_SWEEPS", 4)
+        assert all(locally_biased_distribution(h).tobytes() != fit for h, fit in zip(hamiltonians, fits))
 
 
 class TestSamplerDeterminism:

@@ -27,7 +27,7 @@ from pauli_shadows import (
     uniform_distribution,
 )
 from pauli_shadows import states
-from pauli_shadows.paulis import CODE_X, CODE_Y, letter_codes
+from pauli_shadows.paulis import CODE_X, CODE_Y, letter_codes, read_file
 from pauli_shadows.states import load_state, sigmas_from_index
 
 from helpers import (
@@ -424,13 +424,14 @@ class TestGroundState:
         assert energy == pytest.approx(dense_energy, abs=1e-8)
         assert hamiltonian_expectation(state, h) == pytest.approx(dense_energy, abs=1e-8)
 
-    def test_random_hamiltonians_match_dense_oracle(self):
+    def test_random_hamiltonians_match_dense_oracle(self, monkeypatch):
         # Tight tolerances test the Lanczos step whose only orthogonalization is the reorthogonalization.
         for tol in (1e-8, 1e-10, 1e-12):
+            monkeypatch.setattr(states, "GROUND_STATE_TOL", tol)
             rng = np.random.default_rng(21)
             for _ in range(5):
                 h = random_hamiltonian(rng, 3, 6)
-                energy, state = ground_state(h, tol=tol)
+                energy, state = ground_state(h)
                 dense_energy = np.linalg.eigvalsh(dense_hamiltonian(h))[0]
                 assert energy == pytest.approx(dense_energy, abs=1e-8)
                 residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
@@ -441,8 +442,9 @@ class TestGroundState:
         monkeypatch.setattr(states, "_BLOCK_ROWS", 3)
         rng = np.random.default_rng(23)
         for n, tol in ((4, 1e-10), (5, 1e-12), (6, 1e-12)):
+            monkeypatch.setattr(states, "GROUND_STATE_TOL", tol)
             h = random_hamiltonian(rng, n, 3 * n)
-            energy, state = ground_state(h, tol=tol)
+            energy, state = ground_state(h)
             dense_energy = np.linalg.eigvalsh(dense_hamiltonian(h))[0]
             assert energy == pytest.approx(dense_energy, abs=1e-8)
             residual = dense_hamiltonian(h) @ state.amplitudes - energy * state.amplitudes
@@ -452,7 +454,7 @@ class TestGroundState:
         # The shape of the dense-terms benchmark workload: 500 strings on 8 qubits, run in stacks of groups.
         h = random_hamiltonian(np.random.default_rng(24), 8, 500, max_weight=4)
         tol = 1e-8
-        energy, state = ground_state(h, tol=tol)
+        energy, state = ground_state(h)
         dense = dense_hamiltonian(h)
         assert energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-8)
         assert np.linalg.norm(dense @ state.amplitudes - energy * state.amplitudes) <= tol
@@ -462,7 +464,7 @@ class TestGroundState:
         # The shape of the wide benchmark workload, where every stack is one group and H's matrix takes 256 MiB.
         h = random_hamiltonian(np.random.default_rng(25), 12, 200, max_weight=4)
         tol = 1e-8
-        energy, state = ground_state(h, tol=tol)
+        energy, state = ground_state(h)
         assert np.linalg.norm(apply_hamiltonian(h, state.amplitudes) - energy * state.amplitudes) <= tol
         assert energy == hamiltonian_expectation(state, h)
 
@@ -496,20 +498,16 @@ class TestGroundState:
         permuted = ground_state(parse_hamiltonian("\n".join(reversed(lines))))[0]
         assert permuted == pytest.approx(reference, abs=1e-9)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(states, "GROUND_STATE_TOL", 1e-12)
+        monkeypatch.setattr(states, "GROUND_STATE_MAX_ITER", 1)
         h = random_hamiltonian(np.random.default_rng(22), 3, 8)
         with pytest.raises(GroundStateConvergenceError) as excinfo:
-            ground_state(h, tol=1e-12, max_iter=1)
+            ground_state(h)
         # The last Ritz pair is measured before raising, not left at inf.
         assert math.isfinite(excinfo.value.best_residual)
         assert excinfo.value.best_residual > 1e-12
         assert math.isfinite(excinfo.value.best_energy)
-
-    def test_rejects_max_iter_below_one(self):
-        h = Hamiltonian(1, [(1.0, "Z")])
-        for max_iter in (0, -1):
-            with pytest.raises(ValueError, match="max_iter"):
-                ground_state(h, max_iter=max_iter)
 
     def test_one_application_per_iteration(self, monkeypatch):
         # Each Lanczos iteration solves the tridiagonal once (eigh) and may
@@ -764,3 +762,10 @@ class TestLoadState:
         plain = load_state("".join(pair + "\n" for pair in pairs), 4)
         marked = load_state("# four qubits\r\n\r\n" + "".join(f"{p}  # {k}\r\n\r\n" for k, p in enumerate(pairs)), 4)
         assert plain.amplitudes.tobytes() == marked.amplitudes.tobytes()
+
+    def test_byte_order_mark_file_reads_as_the_plain_file(self, tmp_path):
+        plain, marked = tmp_path / "plain.state", tmp_path / "marked.state"
+        plain.write_text("0.6 0\n0 0.8\n", encoding="utf-8")
+        marked.write_text("0.6 0\n0 0.8\n", encoding="utf-8-sig")  # starts with the bytes EF BB BF
+        expected = read_file(plain, load_state, 1)
+        assert read_file(marked, load_state, 1).amplitudes.tobytes() == expected.amplitudes.tobytes()
